@@ -32,10 +32,18 @@ DEFAULT_MU = {3.0: 15.0, 5.0: 20.0}
 DEFAULT_C = {(3.0, 15.0): 1.83, (5.0, 20.0): 1.10}
 
 
+class UsageError(Exception):
+    """A flag value the parser accepts but the command cannot use."""
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as err:
+        print(f"dcboost {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 def build_parser():
@@ -61,7 +69,6 @@ def build_parser():
     _add_variant_flag(basin)
     _add_solver_flags(basin, alpha=0.2, beta=0.7, max_iter=500,
                       tol_rel_energy=0.0, tol_direction=1e-10)
-    basin.add_argument("--workers", type=int, default=1)
     _add_out_dir(basin)
     basin.set_defaults(func=cmd_basin)
 
@@ -151,18 +158,26 @@ def _resolve_lambda_bar(args, variant, searches_from_y_default=None):
     return searches_from_y_default
 
 
+def _solver_config(args, variant, alpha, lambda_bar):
+    try:
+        return SolverConfig(
+            variant=variant,
+            alpha=alpha,
+            beta=args.beta,
+            lambda_bar=lambda_bar,
+            max_outer_iter=args.max_iter,
+            tol_rel_energy=args.tol_rel_energy,
+            tol_direction=args.tol_direction,
+            max_backtracks=args.max_backtracks,
+        )
+    except ValueError as err:
+        raise UsageError(f"invalid solver settings: {err}") from None
+
+
 def _toy_config(args):
     variant = Variant(args.variant)
-    return SolverConfig(
-        variant=variant,
-        alpha=args.alpha,
-        beta=args.beta,
-        lambda_bar=_resolve_lambda_bar(args, variant),
-        max_outer_iter=args.max_iter,
-        tol_rel_energy=args.tol_rel_energy,
-        tol_direction=args.tol_direction,
-        max_backtracks=args.max_backtracks,
-    )
+    return _solver_config(args, variant, args.alpha,
+                          _resolve_lambda_bar(args, variant))
 
 
 def _config_flags(cfg):
@@ -184,12 +199,13 @@ def _ensure_out_dir(path):
     return out
 
 
-def _write_manifest(out_dir, command, flags, outputs):
+def _write_manifest(out_dir, command, flags, outputs, **extra):
     payload = {
         "command": command,
         "flags": flags,
         "outputs": {name: str(p) for name, p in outputs.items()},
         "version": __version__,
+        **extra,
     }
     path = out_dir / f"{command}_manifest.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -223,6 +239,8 @@ class _TraceStream:
 
 
 def cmd_toy(args):
+    if not all(math.isfinite(t) for t in args.x0):
+        raise UsageError(f"--x0 must be finite, got {args.x0}")
     model = QuadL1Problem() if args.example == "quadl1" else ScadSeparableProblem()
     cfg = _toy_config(args)
     out_dir = _ensure_out_dir(args.out_dir)
@@ -248,24 +266,29 @@ def cmd_toy(args):
 
 def cmd_basin(args):
     if args.n < 1:
-        print("--n must be at least 1", file=sys.stderr)
-        return 2
+        raise UsageError("--n must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     cfg = _toy_config(args)
-    report = basin_experiment(args.n, args.seed, cfg.variant, cfg=cfg,
-                              n_workers=args.workers)
+    report = basin_experiment(args.n, args.seed, cfg.variant, cfg=cfg)
 
     out_dir = _ensure_out_dir(args.out_dir)
     csv_path = out_dir / "basin_report.csv"
     write_basin_csv(report, csv_path)
-    flags = {"n": args.n, "seed": args.seed, "workers": args.workers,
-             "out_dir": str(out_dir), **_config_flags(cfg)}
-    _write_manifest(out_dir, "basin", flags, {"report": csv_path})
+    flags = {"n": args.n, "seed": args.seed, "out_dir": str(out_dir),
+             **_config_flags(cfg)}
+    totals = {"outer_iterations": report.outer_iterations,
+              "backtracks": report.backtracks,
+              "linesearch_failures": report.linesearch_failures}
+    _write_manifest(out_dir, "basin", flags, {"report": csv_path},
+                    totals=totals)
 
     for label in ATTRACTOR_LABELS + (OTHER_LABEL,):
         count = report.counts.get(label, 0)
         print(f"{label} count={count} fraction={count / report.n_points:.4f}")
     print(f"n_points={report.n_points} variant={report.variant.value} "
           f"elapsed_s={report.elapsed:.3f}")
+    print(" ".join(f"{key}={value}" for key, value in totals.items()))
     return 0
 
 
@@ -294,17 +317,11 @@ def cmd_denoise(args):
         return 2
 
     variant = Variant(args.variant)
-    cfg = SolverConfig(
-        variant=variant,
+    cfg = _solver_config(
+        args, variant,
         alpha=args.alpha if args.alpha is not None else 0.9 * model.rho,
-        beta=args.beta,
         lambda_bar=_resolve_lambda_bar(args, variant,
-                                       searches_from_y_default=10.0),
-        max_outer_iter=args.max_iter,
-        tol_rel_energy=args.tol_rel_energy,
-        tol_direction=args.tol_direction,
-        max_backtracks=args.max_backtracks,
-    )
+                                       searches_from_y_default=10.0))
 
     out_dir = _ensure_out_dir(args.out_dir)
     outputs = {}

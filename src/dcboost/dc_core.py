@@ -19,11 +19,13 @@ configured variant:
 
 Models supply evaluators through the :class:`DcModel` interface; points are
 numpy arrays of any shape (the imaging model uses 2-D rasters directly).
+:func:`solve_lanes` advances a stack of starts in lockstep, one lane each,
+with every rule written once over the lanes; :func:`solve` is one lane.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -34,6 +36,7 @@ import numpy as np
 __all__ = [
     "DcModel",
     "IterateRecord",
+    "LaneResult",
     "SolveResult",
     "SolverConfig",
     "Status",
@@ -44,6 +47,7 @@ __all__ = [
     "ibdca_line_search",
     "nmbdca_line_search",
     "solve",
+    "solve_lanes",
     "trace_header",
     "trace_row",
     "write_trace_csv",
@@ -88,6 +92,14 @@ class DcModel(ABC):
     ``phi(y) <= phi(x) - rho * ||y - x||^2`` that the line searches rely on.
     ``dim`` is the ambient dimension (number of scalar unknowns).
 
+    The outer loop advances a stack of points together, one lane per point,
+    shape ``(B, *point_shape)``.  It reaches the model only through
+    :meth:`phi_lanes` and :meth:`subproblem_lanes`, whose defaults loop over
+    the lanes with the per-point :meth:`phi` and
+    :meth:`solve_subproblem_with_info`; a model with closed forms may
+    override them with vectorized versions that give every lane bitwise the
+    per-point result.
+
     Evaluators must be pure: many solves may run concurrently against one
     shared model instance.
     """
@@ -117,6 +129,21 @@ class DcModel(ABC):
     def solve_subproblem_with_info(self, x):
         """Subproblem solution plus solver diagnostics (empty by default)."""
         return self.solve_subproblem(x), {}
+
+    def phi_lanes(self, X):
+        """phi of every lane of X, shape ``(B,)``."""
+        return np.array([self.phi(x) for x in X], dtype=float)
+
+    def subproblem_lanes(self, X):
+        """Subproblem solutions of every lane as a new array shaped like X,
+        plus a list with one diagnostics dict per lane."""
+        pairs = [self.solve_subproblem_with_info(x) for x in X]
+        if len(pairs) == 1:
+            # one lane keeps the solver's own array: an extra copy of a large
+            # raster per iteration costs page faults, not just the copy
+            return np.asarray(pairs[0][0], dtype=float)[None], [pairs[0][1]]
+        return (np.array([y for y, _ in pairs], dtype=float),
+                [info for _, info in pairs])
 
 
 @dataclass
@@ -186,8 +213,28 @@ class SolveResult:
     linesearch_failures: int = 0
 
 
-def _sqnorm(a):
-    return float(np.vdot(a, a))
+@dataclass
+class LaneResult:
+    """Outcome of :func:`solve_lanes`, every array indexed by lane.
+
+    ``outer_iterations`` counts subproblem solves, so a critical-point stop
+    counts its final check; it equals the length of a single solve's trace.
+    """
+
+    final_points: np.ndarray
+    final_phi: np.ndarray
+    status: np.ndarray
+    outer_iterations: np.ndarray
+    backtracks: np.ndarray
+    monotone_violations: np.ndarray
+    linesearch_failures: np.ndarray
+
+
+def _sqnorms(D):
+    # squared norm of each lane; the stacked matmul reaches the same BLAS dot
+    # as np.vdot, so a lane's value is bitwise its single-point value
+    F = D.reshape(len(D), 1, -1)
+    return np.matmul(F, F.transpose(0, 2, 1)).reshape(-1)
 
 
 def dca_step(model, x):
@@ -196,6 +243,120 @@ def dca_step(model, x):
     if not np.all(np.isfinite(y)):
         raise SubproblemError("subproblem returned non-finite entries")
     return y, y - x
+
+
+def _rows(A, lanes):
+    """Rows ``lanes`` of A; A itself when every row is wanted."""
+    return A if len(lanes) == len(A) else A[lanes]
+
+
+# Trial entries (rungs x lanes x point size) evaluated per phi_lanes call.
+# Small problems then walk a whole ladder in one call; large ones walk it one
+# rung at a time, so no phi is spent on rungs below an accepted one.
+_TRIAL_BUDGET = 4096
+
+
+@functools.lru_cache(maxsize=16)
+def _ladder(lambda_bar, beta, rungs):
+    """The trial steps lambda_bar * beta^j, j < rungs, formed by repeated
+    multiplication (read-only: the array is shared)."""
+    steps, lam = [], lambda_bar
+    for _ in range(rungs):
+        steps.append(lam)
+        lam *= beta
+    ladder = np.array(steps)
+    ladder.flags.writeable = False
+    return ladder
+
+
+def _backtrack(model, base, D, ladder, limit, bound, fallback):
+    """Backtracking line search on every lane at once.
+
+    Lane i tries the rungs ``ladder[:limit[i]]`` in order and accepts the
+    first whose trial value phi(base + lam*d) is at most
+    ``bound(lanes, lam)``; a lane that accepts none ends with lam =
+    ``fallback`` and ``limit[i]`` backtracks.  Several rungs may share one
+    :meth:`DcModel.phi_lanes` call; since a lane still takes its first
+    accepted rung, the outcome is that of a rung-by-rung walk.  Returns
+    ``(lam, backtracks, points, values)``; the accepted trial points and
+    their phi are meaningful only where lam != fallback.
+    """
+    n = len(base)
+    lam_out = np.full(n, fallback)
+    bt_out = limit.copy()
+    points = np.empty_like(base)
+    values = np.empty(n)
+    lanes = np.flatnonzero(limit > 0)
+    point_shape = base.shape[1:]
+    j = 0
+    while lanes.size:
+        lane_limit = _rows(limit, lanes)
+        rungs = min(max(1, _TRIAL_BUDGET // (lanes.size * base[0].size)),
+                    int(lane_limit.max()) - j)
+        lam = ladder[j:j + rungs, None]
+        trial = (_rows(base, lanes)
+                 + lam.reshape(lam.shape + (1,) * len(point_shape))
+                 * _rows(D, lanes))
+        got = model.phi_lanes(trial.reshape((-1,) + point_shape))
+        got = got.reshape(rungs, -1)
+        ok = got <= bound(lanes, lam)
+        ok &= np.arange(j, j + rungs)[:, None] < lane_limit
+        first = ok.argmax(axis=0)
+        cols = np.arange(lanes.size)
+        hit = ok[first, cols]
+        if hit.any():
+            rung, col = first[hit], cols[hit]
+            done = lanes[hit]
+            lam_out[done] = ladder[j + rung]
+            bt_out[done] = j + rung
+            points[done] = trial[rung, col]
+            values[done] = got[rung, col]
+        j += rungs
+        lanes = lanes[~hit & (lane_limit > j)]
+    return lam_out, bt_out, points, values
+
+
+def _ibdca_lanes(model, X, D, dsq, phi_x, phi_y, cfg):
+    # both acceptance conditions at once: trial <= min(decrease, phi(y));
+    # rungs <= 1 are never tried, the step clamps to 1
+    ladder = _ladder(cfg.lambda_bar, cfg.beta, cfg.max_backtracks)
+    limit = np.full(len(X), np.count_nonzero(ladder > 1.0))
+    return _backtrack(
+        model, X, D, ladder, limit,
+        bound=lambda i, lam: np.minimum(
+            _rows(phi_x, i) - cfg.alpha * lam * _rows(dsq, i),
+            _rows(phi_y, i)),
+        fallback=1.0)
+
+
+def _armijo_floor(phi_y, alpha, dsq):
+    # below this lam the decrease term is absorbed by rounding of phi(y),
+    # so the test can no longer certify descent
+    with np.errstate(divide="ignore"):
+        return (np.finfo(float).eps * np.maximum(1.0, np.abs(phi_y))
+                / (alpha * dsq))
+
+
+def _armijo_lanes(model, Y, D, dsq, phi_y, allowance, cfg):
+    # BDCA's test when allowance is 0, nmBDCA's with ||d||^2/(k+1); rungs
+    # below the Armijo floor are never tried
+    ladder = _ladder(cfg.lambda_bar, cfg.beta, cfg.max_backtracks)
+    floor = _armijo_floor(phi_y, cfg.alpha, dsq)
+    limit = np.searchsorted(-ladder, -floor, side="right")
+    return _backtrack(
+        model, Y, D, ladder, limit,
+        bound=lambda i, lam: (_rows(phi_y, i)
+                              - cfg.alpha * lam * _rows(dsq, i)
+                              + _rows(allowance, i)),
+        fallback=0.0)
+
+
+def _one_lane(a):
+    return np.asarray(a, dtype=float)[None]
+
+
+def _phi_lane(model, x, value):
+    return np.array([model.phi(x) if value is None else value], dtype=float)
 
 
 def ibdca_line_search(model, x, y, d, cfg, phi_x=None, phi_y=None):
@@ -208,26 +369,11 @@ def ibdca_line_search(model, x, y, d, cfg, phi_x=None, phi_y=None):
     conditions whenever alpha <= model.rho.  The returned lam therefore
     always lies in [1, lambda_bar].
     """
-    if phi_x is None:
-        phi_x = model.phi(x)
-    if phi_y is None:
-        phi_y = model.phi(y)
-    dsq = _sqnorm(d)
-    lam = cfg.lambda_bar
-    for bt in range(cfg.max_backtracks):
-        if lam <= 1.0:
-            return 1.0, bt
-        trial = model.phi(x + lam * d)
-        if trial <= phi_x - cfg.alpha * lam * dsq and trial <= phi_y:
-            return lam, bt
-        lam *= cfg.beta
-    return 1.0, cfg.max_backtracks
-
-
-def _armijo_floor(phi_y, alpha, dsq):
-    # below this lam the decrease term is absorbed by rounding of phi(y),
-    # so the test can no longer certify descent
-    return np.finfo(float).eps * max(1.0, abs(phi_y)) / (alpha * dsq)
+    D = _one_lane(d)
+    lam, bt, _, _ = _ibdca_lanes(model, _one_lane(x), D, _sqnorms(D),
+                                 _phi_lane(model, x, phi_x),
+                                 _phi_lane(model, y, phi_y), cfg)
+    return float(lam[0]), int(bt[0])
 
 
 def bdca_line_search(model, y, d, cfg, phi_y=None):
@@ -241,18 +387,11 @@ def bdca_line_search(model, y, d, cfg, phi_y=None):
     decrease term vanishes in floating point are not tested: they could only
     be accepted through rounding, never through actual descent.
     """
-    if phi_y is None:
-        phi_y = model.phi(y)
-    dsq = _sqnorm(d)
-    floor = _armijo_floor(phi_y, cfg.alpha, dsq)
-    lam = cfg.lambda_bar
-    for bt in range(cfg.max_backtracks):
-        if lam < floor:
-            return 0.0, bt
-        if model.phi(y + lam * d) <= phi_y - cfg.alpha * lam * dsq:
-            return lam, bt
-        lam *= cfg.beta
-    return 0.0, cfg.max_backtracks
+    D = _one_lane(d)
+    lam, bt, _, _ = _armijo_lanes(model, _one_lane(y), D, _sqnorms(D),
+                                  _phi_lane(model, y, phi_y), np.zeros(1),
+                                  cfg)
+    return float(lam[0]), int(bt[0])
 
 
 def nmbdca_line_search(model, y, d, k, cfg, phi_y=None):
@@ -265,30 +404,140 @@ def nmbdca_line_search(model, y, d, k, cfg, phi_y=None):
     step for any sufficiently deep ladder; lam = 0 signals that
     max_backtracks could not reach that regime.
     """
-    if phi_y is None:
-        phi_y = model.phi(y)
-    dsq = _sqnorm(d)
-    allowance = dsq / (k + 1)
-    floor = _armijo_floor(phi_y, cfg.alpha, dsq)
-    lam = cfg.lambda_bar
-    for bt in range(cfg.max_backtracks):
-        if lam < floor:
-            return 0.0, bt
-        if model.phi(y + lam * d) <= phi_y - cfg.alpha * lam * dsq + allowance:
-            return lam, bt
-        lam *= cfg.beta
-    return 0.0, cfg.max_backtracks
+    D = _one_lane(d)
+    dsq = _sqnorms(D)
+    lam, bt, _, _ = _armijo_lanes(model, _one_lane(y), D, dsq,
+                                  _phi_lane(model, y, phi_y), dsq / (k + 1),
+                                  cfg)
+    return float(lam[0]), int(bt[0])
 
 
-def solve(model, x0, cfg, record_trace=True, on_record=None):
+def _step(model, k, X, Y, D, dsq, phi_x, cfg):
+    """The configured rule on every lane: ``(lam, bt, X_next, phi_next)``.
+
+    A lane whose search returns its fallback takes the DCA step to y.
+    """
+    phi_y = model.phi_lanes(Y)
+    if cfg.variant is Variant.DCA:
+        return np.ones(len(Y)), np.zeros(len(Y), dtype=int), Y, phi_y
+    if cfg.variant is Variant.IBDCA:
+        lam, bt, points, values = _ibdca_lanes(model, X, D, dsq, phi_x,
+                                               phi_y, cfg)
+        boosted = lam != 1.0
+    else:
+        allowance = (dsq / (k + 1) if cfg.variant is Variant.NMBDCA
+                     else np.zeros_like(dsq))
+        lam, bt, points, values = _armijo_lanes(model, Y, D, dsq, phi_y,
+                                                allowance, cfg)
+        boosted = lam != 0.0
+    np.copyto(points, Y, where=~boosted.reshape((-1,) + (1,) * (Y.ndim - 1)))
+    np.copyto(values, phi_y, where=~boosted)
+    return lam, bt, points, values
+
+
+def solve_lanes(model, X0, cfg, on_record=None):
+    """Run the configured variant from every start in X0 in lockstep.
+
+    X0 stacks the starts along a leading lane axis, shape
+    ``(B, *point_shape)``.  All lanes go through one outer iteration at a
+    time; each keeps its own stopping rules and leaves the stack when one
+    fires.  Every lane computes bitwise what :func:`solve` computes from its
+    start alone.
+
+    ``on_record(lane, record)``, when given, receives each lane's
+    :class:`IterateRecord` as it is produced.  Raises
+    :class:`SubproblemError` when the subproblem solver breaks down on any
+    lane.
+    """
+    x = np.array(X0, dtype=float)
+    n = len(x)
+    if x.size != n * model.dim:
+        raise ValueError(f"x0 has {x.size // max(n, 1)} entries, model "
+                         f"expects {model.dim}")
+    phi_x = model.phi_lanes(x)
+    if not np.all(np.isfinite(phi_x)):
+        raise ValueError("phi(x0) is not finite; x0 lies outside dom g")
+
+    res = LaneResult(np.empty_like(x), np.empty(n),
+                     np.full(n, Status.MAX_ITERATIONS, dtype=object),
+                     *(np.zeros(n, dtype=int) for _ in range(4)))
+    lanes = np.arange(n)
+    t0 = time.perf_counter()
+
+    def emit(k, rows, lam, bt):
+        wall = time.perf_counter() - t0
+        for j, lam_j, bt_j in zip(rows, lam, bt):
+            on_record(int(lanes[j]), IterateRecord(
+                k, x[j], float(phi_x[j]), float(d_norm[j]), float(lam_j),
+                int(bt_j), wall, dict(infos[j])))
+
+    def retire(stop, status):
+        # lanes flagged in ``stop`` end at their current point
+        idx = lanes[stop]
+        res.final_points[idx] = x[stop]
+        res.final_phi[idx] = phi_x[stop]
+        res.status[idx] = status
+        return ~stop
+
+    for k in range(cfg.max_outer_iter):
+        y, infos = model.subproblem_lanes(x)
+        d = y - x
+        dsq = _sqnorms(d)
+        d_norm = np.sqrt(dsq)
+        bad = ~np.isfinite(d_norm)
+        if bad.any():
+            raise SubproblemError("subproblem produced a non-finite direction",
+                                  residual=float(d_norm[bad][0]))
+        res.outer_iterations[lanes] += 1
+
+        critical = d_norm <= cfg.tol_direction
+        if critical.any():
+            if on_record is not None:
+                rows = np.flatnonzero(critical)
+                emit(k, rows, np.zeros(len(rows)), np.zeros(len(rows), int))
+            keep = retire(critical, Status.CRITICAL_POINT)
+            if not keep.any():
+                return res
+            x, y, d = x[keep], y[keep], d[keep]
+            dsq, d_norm, phi_x, lanes = (dsq[keep], d_norm[keep],
+                                         phi_x[keep], lanes[keep])
+            if on_record is not None:
+                infos = [info for info, kept in zip(infos, keep) if kept]
+
+        lam, bt, x_next, phi_next = _step(model, k, x, y, d, dsq, phi_x, cfg)
+        if on_record is not None:
+            emit(k, range(len(lanes)), lam, bt)
+        res.backtracks[lanes] += bt
+        if cfg.variant in (Variant.DCA, Variant.IBDCA):
+            res.monotone_violations[lanes] += (
+                phi_next > phi_x + 1e-8 * np.maximum(1.0, np.abs(phi_x)))
+        else:
+            res.linesearch_failures[lanes] += lam == 0.0
+
+        rel_change = (np.abs(phi_x - phi_next)
+                      / np.maximum(np.abs(phi_x), 1e-300))
+        x, phi_x = x_next, phi_next
+        if cfg.tol_rel_energy > 0.0:
+            converged = rel_change <= cfg.tol_rel_energy
+            if converged.any():
+                keep = retire(converged, Status.REL_ENERGY_CONVERGED)
+                if not keep.any():
+                    return res
+                x, phi_x, lanes = x[keep], phi_x[keep], lanes[keep]
+
+    retire(np.ones(len(lanes), dtype=bool), Status.MAX_ITERATIONS)
+    return res
+
+
+def solve(model, x0, cfg, on_record=None):
     """Run the configured variant from x0 until a stopping rule fires.
 
-    Per iteration the subproblem is solved once; the trace gets one record
-    per iteration holding the iterate at its start and the accepted step.
-    Critical-point stops append a final record with lam = 0.  For DCA and
-    IBDCA the phi column of the trace is nonincreasing; violations beyond
-    1e-8 relative (possible only through inexact subproblems) are counted in
-    ``monotone_violations``.
+    This is :func:`solve_lanes` with one lane.  Per iteration the subproblem
+    is solved once; the trace gets one record per iteration holding the
+    iterate at its start and the accepted step.  Critical-point stops append
+    a final record with lam = 0.  For DCA and IBDCA the phi column of the
+    trace is nonincreasing; violations beyond 1e-8 relative (possible only
+    through inexact subproblems) are counted in ``monotone_violations``.
 
     ``on_record`` is called with each record as it is produced, which lets
     callers stream trace rows to disk so partial results survive an
@@ -297,87 +546,23 @@ def solve(model, x0, cfg, record_trace=True, on_record=None):
     Raises :class:`SubproblemError` with the partial trace attached when the
     subproblem solver breaks down.
     """
-    x = np.array(x0, dtype=float, copy=True)
-    if x.size != model.dim:
-        raise ValueError(f"x0 has {x.size} entries, model expects {model.dim}")
-    phi_x = float(model.phi(x))
-    if not math.isfinite(phi_x):
-        raise ValueError("phi(x0) is not finite; x0 lies outside dom g")
-
     trace = []
-    keep_records = record_trace or on_record is not None
 
-    def emit(record):
-        if record_trace:
-            trace.append(record)
+    def collect(lane, record):
+        trace.append(record)
         if on_record is not None:
             on_record(record)
 
-    monotone_violations = 0
-    linesearch_failures = 0
-    t0 = time.perf_counter()
-
-    for k in range(cfg.max_outer_iter):
-        try:
-            y, info = model.solve_subproblem_with_info(x)
-        except SubproblemError as err:
-            err.trace = trace
-            raise
-        d = y - x
-        d_norm = math.sqrt(_sqnorm(d))
-        if not math.isfinite(d_norm):
-            raise SubproblemError(
-                "subproblem produced a non-finite direction",
-                residual=d_norm,
-                trace=trace,
-            )
-
-        if d_norm <= cfg.tol_direction:
-            if keep_records:
-                emit(IterateRecord(k, x, phi_x, d_norm, 0.0, 0,
-                                   time.perf_counter() - t0, dict(info)))
-            return SolveResult(x, phi_x, Status.CRITICAL_POINT, trace,
-                               monotone_violations, linesearch_failures)
-
-        phi_y = float(model.phi(y))
-        if cfg.variant is Variant.DCA:
-            lam, bt = 1.0, 0
-            x_next, phi_next = y, phi_y
-        elif cfg.variant is Variant.IBDCA:
-            lam, bt = ibdca_line_search(model, x, y, d, cfg,
-                                        phi_x=phi_x, phi_y=phi_y)
-            if lam == 1.0:
-                x_next, phi_next = y, phi_y
-            else:
-                x_next = x + lam * d
-                phi_next = float(model.phi(x_next))
-        else:
-            if cfg.variant is Variant.BDCA:
-                lam, bt = bdca_line_search(model, y, d, cfg, phi_y=phi_y)
-            else:
-                lam, bt = nmbdca_line_search(model, y, d, k, cfg, phi_y=phi_y)
-            if lam == 0.0:
-                linesearch_failures += 1
-                x_next, phi_next = y, phi_y
-            else:
-                x_next = y + lam * d
-                phi_next = float(model.phi(x_next))
-
-        if keep_records:
-            emit(IterateRecord(k, x, phi_x, d_norm, lam, bt,
-                               time.perf_counter() - t0, dict(info)))
-        if cfg.variant in (Variant.DCA, Variant.IBDCA):
-            if phi_next > phi_x + 1e-8 * max(1.0, abs(phi_x)):
-                monotone_violations += 1
-
-        rel_change = abs(phi_x - phi_next) / max(abs(phi_x), 1e-300)
-        x, phi_x = x_next, phi_next
-        if cfg.tol_rel_energy > 0.0 and rel_change <= cfg.tol_rel_energy:
-            return SolveResult(x, phi_x, Status.REL_ENERGY_CONVERGED, trace,
-                               monotone_violations, linesearch_failures)
-
-    return SolveResult(x, phi_x, Status.MAX_ITERATIONS, trace,
-                       monotone_violations, linesearch_failures)
+    try:
+        res = solve_lanes(model, np.asarray(x0, dtype=float)[None], cfg,
+                          on_record=collect)
+    except SubproblemError as err:
+        err.trace = trace
+        raise
+    return SolveResult(res.final_points[0], float(res.final_phi[0]),
+                       res.status[0], trace,
+                       int(res.monotone_violations[0]),
+                       int(res.linesearch_failures[0]))
 
 
 TRACE_COLUMNS = ("k", "phi", "d_norm", "lambda", "backtracks", "wall_time_s")

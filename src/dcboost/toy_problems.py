@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dc_core import DcModel, SolverConfig, Variant, solve
+# ``solve`` stays importable from this module for existing callers
+from .dc_core import DcModel, SolverConfig, Variant, solve, solve_lanes  # noqa: F401
 
 __all__ = [
     "ATTRACTOR_LABELS",
@@ -185,6 +185,81 @@ def scad_subproblem_1d(w):
     return min(candidates, key=lambda s: scad_g_tilde(s) - w * s)
 
 
+# Elementwise versions of the closed forms above, for whole stacks of lanes.
+# Each branch repeats the scalar arithmetic operation for operation, so every
+# entry is bitwise what the scalar function returns: squares go through
+# float_power, which calls the same libm pow as Python's ``**`` (x*x can
+# differ in the last bit), and sums are reordered only where IEEE addition
+# commutes.  The branches are formed in place to keep the working set small.
+
+def _square(x, where):
+    # only the entries the branch keeps: pow costs far more than x*x
+    return np.float_power(x, 2.0, out=x, where=where)
+
+
+def _scad_phi_tilde_lanes(u):
+    a = np.abs(u)
+    inner, outer = a <= 1.0, a >= 2.0
+    out = _square(a - 2.0, outer)
+    out += 1.5                              # (a-2)^2 + 3/2
+    mid = _square(a - 1.0, ~(inner | outer))
+    mid /= 2.0
+    np.subtract(a, mid, out=mid)            # a - (a-1)^2/2
+    np.copyto(out, mid, where=~outer)
+    np.copyto(out, a, where=inner)
+    return out
+
+
+def _scad_g_tilde_lanes(u):
+    a = np.abs(u)
+    outer = a >= 2.0
+    out = _square(a - 2.0, outer)
+    out += a                                # a + (a-2)^2
+    np.copyto(out, a, where=~outer)
+    q = u * u
+    q /= 5.0
+    out += q
+    return out
+
+
+def _scad_h_tilde_prime_lanes(u):
+    a = np.abs(u)
+    s = np.copysign(1.0, u)
+    p = 0.4 * u
+    out = s + p
+    np.subtract(u, s, out=s)
+    s += p                                  # (u - sign u) + 0.4u
+    np.copyto(out, s, where=a < 2.0)
+    np.copyto(out, p, where=a <= 1.0)
+    return out
+
+
+def _scad_subproblem_lanes(w):
+    """:func:`scad_subproblem_1d` elementwise.  The candidates come in the
+    scalar order and one replaces the best only when strictly smaller, which
+    keeps ``min``'s first-wins choice on ties."""
+    best = np.full_like(w, -2.0)
+    best_val = scad_g_tilde(-2.0) - w * -2.0
+
+    def offer(t, val, valid=True):
+        better = val < best_val
+        better &= valid
+        np.copyto(best, t, where=better)
+        np.copyto(best_val, val, where=better)
+
+    for c in (0.0, 2.0):
+        offer(c, scad_g_tilde(c) - w * c)
+    t = 2.5 * (w - 1.0)              # branch (0, 2)
+    offer(t, _scad_g_tilde_lanes(t) - w * t, (0.0 < t) & (t < 2.0))
+    t = 5.0 * (w + 3.0) / 12.0       # branch [2, inf)
+    offer(t, _scad_g_tilde_lanes(t) - w * t, t >= 2.0)
+    t = 2.5 * (w + 1.0)              # branch (-2, 0)
+    offer(t, _scad_g_tilde_lanes(t) - w * t, (-2.0 < t) & (t < 0.0))
+    t = 5.0 * (w - 3.0) / 12.0       # branch (-inf, -2]
+    offer(t, _scad_g_tilde_lanes(t) - w * t, t <= -2.0)
+    return best
+
+
 class ScadSeparableProblem(DcModel):
     """phi(u, v) = scad_phi_tilde(u) + scad_phi_tilde(v).
 
@@ -212,6 +287,14 @@ class ScadSeparableProblem(DcModel):
     def solve_subproblem(self, x):
         return np.array([scad_subproblem_1d(scad_h_tilde_prime(float(x[0]))),
                          scad_subproblem_1d(scad_h_tilde_prime(float(x[1])))])
+
+    def phi_lanes(self, X):
+        per_coord = _scad_phi_tilde_lanes(X)
+        return per_coord[:, 0] + per_coord[:, 1]
+
+    def subproblem_lanes(self, X):
+        Y = _scad_subproblem_lanes(_scad_h_tilde_prime_lanes(X))
+        return Y, [{}] * len(X)
 
 
 def _scad_g_tilde_prime(t):
@@ -247,13 +330,20 @@ SAMPLE_LOW, SAMPLE_HIGH = 0.0, 3.0
 
 @dataclass
 class BasinReport:
-    """Attractor counts for one experiment; counts always sum to n_points."""
+    """Attractor counts for one experiment; counts always sum to n_points.
+
+    ``outer_iterations`` (subproblem solves), ``backtracks`` and
+    ``linesearch_failures`` are totals over all starts.
+    """
 
     counts: dict
     n_points: int
     variant: Variant
     elapsed: float
     seed: int | None = None
+    outer_iterations: int = 0
+    backtracks: int = 0
+    linesearch_failures: int = 0
 
 
 def classify_attractor(point):
@@ -279,23 +369,22 @@ def default_basin_config(variant):
                         max_backtracks=60)
 
 
-def _count_chunk(points, cfg):
-    model = ScadSeparableProblem()
-    counts = dict.fromkeys(ATTRACTOR_LABELS + (OTHER_LABEL,), 0)
-    for point in points:
-        result = solve(model, point, cfg, record_trace=False)
-        counts[classify_attractor(result.final_point)] += 1
-    return counts
+# Starts solved together in one stack of lanes; bounds the working set
+# whatever the number of starts.  Larger blocks run little faster but cost
+# resident memory beyond their arrays: as lanes retire, masks and index
+# arrays take every length below the block size, and numpy keeps freed
+# buffers under 1 KiB in a cache per exact size (up to ~3.5 MiB at 1024).
+BASIN_BLOCK = 256
 
 
-def basin_experiment(n_points, seed, variant, cfg=None, points=None,
-                     n_workers=1):
+def basin_experiment(n_points, seed, variant, cfg=None, points=None):
     """Solve from uniform random starts in [0,3]^2 and count the limits.
 
-    Points are drawn once from a counter-based generator keyed by ``seed``,
-    so the report is identical for any worker count.  ``points`` overrides
-    the drawing with explicit start coordinates (used by tests that need a
-    start sitting exactly on an attractor).
+    Points are drawn once from a counter-based generator keyed by ``seed``.
+    ``points`` overrides the drawing with explicit start coordinates (used
+    by tests that need a start sitting exactly on an attractor).  The starts
+    are solved in blocks of ``BASIN_BLOCK`` lanes that advance in lockstep;
+    each lane ends where a single :func:`solve` from its start ends.
     """
     if points is None:
         if n_points < 1:
@@ -307,18 +396,21 @@ def basin_experiment(n_points, seed, variant, cfg=None, points=None,
         n_points = len(points)
 
     cfg = default_basin_config(variant) if cfg is None else cfg
+    model = ScadSeparableProblem()
+    counts = dict.fromkeys(ATTRACTOR_LABELS + (OTHER_LABEL,), 0)
+    outer = backtracks = failures = 0
     t0 = time.perf_counter()
-    if n_workers > 1:
-        chunks = np.array_split(points, n_workers)
-        counts = dict.fromkeys(ATTRACTOR_LABELS + (OTHER_LABEL,), 0)
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for chunk_counts in pool.map(_count_chunk, chunks, [cfg] * len(chunks)):
-                for label, n in chunk_counts.items():
-                    counts[label] += n
-    else:
-        counts = _count_chunk(points, cfg)
+    for start in range(0, n_points, BASIN_BLOCK):
+        lanes = solve_lanes(model, points[start:start + BASIN_BLOCK], cfg)
+        for point in lanes.final_points:
+            counts[classify_attractor(point)] += 1
+        outer += int(lanes.outer_iterations.sum())
+        backtracks += int(lanes.backtracks.sum())
+        failures += int(lanes.linesearch_failures.sum())
     elapsed = time.perf_counter() - t0
-    return BasinReport(counts, n_points, cfg.variant, elapsed, seed=seed)
+    return BasinReport(counts, n_points, cfg.variant, elapsed, seed=seed,
+                       outer_iterations=outer, backtracks=backtracks,
+                       linesearch_failures=failures)
 
 
 def write_basin_csv(report, path):
@@ -326,7 +418,10 @@ def write_basin_csv(report, path):
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={report.seed} n_points={report.n_points} "
                  f"variant={report.variant.value} "
-                 f"elapsed_s={report.elapsed:.3f}\n")
+                 f"elapsed_s={report.elapsed:.3f} "
+                 f"outer_iterations={report.outer_iterations} "
+                 f"backtracks={report.backtracks} "
+                 f"linesearch_failures={report.linesearch_failures}\n")
         fh.write("attractor,count\n")
         for label in ATTRACTOR_LABELS + (OTHER_LABEL,):
             name = f'"{label}"' if "," in label else label

@@ -114,13 +114,28 @@ def test_criterion_2_bdca_failure_reproduction():
           f"y0 for every alpha > 0 ({elapsed * 1e6:.0f} us)")
 
 
+# attractor counts at seed 7, n = 10^4: (0,0), (0,2), (2,0), (2,2), other
+SEED_7_COUNTS = {
+    Variant.DCA: (4512, 2239, 2161, 1088, 0),
+    Variant.BDCA: (10000, 0, 0, 0, 0),
+    Variant.NMBDCA: (9944, 19, 16, 0, 21),
+    Variant.IBDCA: (10000, 0, 0, 0, 0),
+}
+
+
 def test_criterion_3_basin_experiment_desk_scale():
     n = 10000
     t0 = time.perf_counter()
     ibdca = basin_experiment(n, seed=7, variant=Variant.IBDCA)
     dca = basin_experiment(n, seed=7, variant=Variant.DCA)
     nmbdca = basin_experiment(n, seed=7, variant=Variant.NMBDCA)
+    bdca = basin_experiment(n, seed=7, variant=Variant.BDCA)
     elapsed = time.perf_counter() - t0
+
+    labels = ("(0,0)", "(0,2)", "(2,0)", "(2,2)", "other")
+    for report in (dca, bdca, nmbdca, ibdca):
+        counts = tuple(report.counts[label] for label in labels)
+        assert counts == SEED_7_COUNTS[report.variant]
 
     assert ibdca.counts["(0,0)"] == n
     for label in ("(0,0)", "(0,2)", "(2,0)", "(2,2)"):

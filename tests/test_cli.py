@@ -69,6 +69,24 @@ def test_toy_invalid_flags_exit_2():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["basin", "--n", "10", "--seed", "-1"],
+    ["basin", "--n", "10", "--beta", "2"],
+    ["basin", "--n", "10", "--max-backtracks", "0"],
+    ["toy", "--example", "quadl1", "--x0", "0.5,1", "--max-iter", "0"],
+    ["toy", "--example", "quadl1", "--x0", "nan,1"],
+    ["denoise", "--synthetic", "--size", "16x16", "--max-iter", "0"],
+])
+def test_bad_flag_values_exit_2_with_one_line(argv, tmp_path, capsys):
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"dcboost {argv[0]}: ")
+
+
 def test_toy_max_iterations_is_failure(tmp_path, capsys):
     code, _ = run(capsys, "toy", "--example", "quadl1", "--x0", "0.5,1",
                   "--max-iter", "2", "--out-dir", str(tmp_path))
@@ -87,6 +105,20 @@ def test_basin_ibdca_summary(tmp_path, capsys):
     report = (tmp_path / "basin_report.csv").read_text().splitlines()
     assert report[1] == "attractor,count"
     assert report[2] == '"(0,0)",300'
+
+
+def test_basin_reports_iteration_totals(tmp_path, capsys):
+    code, out = run(capsys, "basin", "--n", "200", "--seed", "5",
+                    "--variant", "bdca", "--out-dir", str(tmp_path))
+    assert code == 0
+    last = dict(field.split("=") for field in out.splitlines()[-1].split())
+    manifest = json.loads((tmp_path / "basin_manifest.json").read_text())
+    assert "workers" not in manifest["flags"]
+    totals = manifest["totals"]
+    assert set(totals) == {"outer_iterations", "backtracks",
+                           "linesearch_failures"}
+    assert {key: int(value) for key, value in last.items()} == totals
+    assert totals["outer_iterations"] >= 200
 
 
 def test_basin_single_point(tmp_path, capsys):

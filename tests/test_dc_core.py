@@ -9,7 +9,7 @@ from dcboost import (QuadL1Problem, ScadSeparableProblem, SolverConfig,
                      Status, SubproblemError, Variant, bdca_line_search,
                      dca_step, ibdca_line_search, nmbdca_line_search, solve,
                      write_trace_csv)
-from dcboost.dc_core import DcModel
+from dcboost.dc_core import DcModel, solve_lanes
 from dcboost.toy_problems import (quadl1_criticality_gap,
                                   scad_criticality_gap, scad_h_tilde_prime)
 
@@ -367,6 +367,28 @@ def test_solve_attaches_partial_trace_on_subproblem_failure():
         solve(BreaksAtThird(), np.array([9.0, 9.0]),
               SolverConfig(variant=Variant.DCA, tol_direction=0.0))
     assert len(excinfo.value.trace) == 2
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_solve_lanes_default_methods_match_single_solves(variant):
+    # QuadL1Problem has no lane methods of its own: the per-point defaults
+    # carry every lane, with the traces streamed per lane
+    model = QuadL1Problem()
+    cfg = SolverConfig(variant=variant, alpha=0.2, beta=0.5, lambda_bar=2.0)
+    starts = np.random.default_rng(41).uniform(-3.0, 3.0, size=(40, 2))
+    starts[:3] = [(0.5, 1.0), (1.5, 0.0), (0.0, 0.0)]
+    records = {}
+    lanes = solve_lanes(model, starts, cfg, on_record=lambda lane, rec:
+                        records.setdefault(lane, []).append(rec))
+    for i, start in enumerate(starts):
+        single = solve(model, start, cfg)
+        assert np.array_equal(lanes.final_points[i], single.final_point)
+        assert lanes.status[i] is single.status
+        assert lanes.outer_iterations[i] == len(records[i])
+        assert ([(r.k, r.phi, r.d_norm, r.lam, r.backtracks)
+                 for r in records[i]]
+                == [(r.k, r.phi, r.d_norm, r.lam, r.backtracks)
+                    for r in single.trace])
 
 
 def test_solve_rejects_wrong_dimension():

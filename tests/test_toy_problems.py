@@ -1,10 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dcboost
 import oracles
 from dcboost import (QuadL1Problem, ScadSeparableProblem, Variant,
                      basin_experiment, classify_attractor, quadl1_subproblem,
-                     scad_phi_tilde, scad_subproblem_1d, write_basin_csv)
+                     scad_phi_tilde, scad_subproblem_1d, solve,
+                     write_basin_csv)
+from dcboost import toy_problems
+from dcboost.dc_core import solve_lanes
 from dcboost.toy_problems import (ATTRACTOR_LABELS, OTHER_LABEL,
                                   default_basin_config,
                                   quadl1_criticality_gap,
@@ -158,6 +167,24 @@ def test_scad_model_is_separable():
         assert model.phi(x) == scad_phi_tilde(x[0]) + scad_phi_tilde(x[1])
 
 
+def test_scad_lane_methods_bitwise_match_per_point():
+    # breakpoints, their floating-point neighbours and random values
+    breaks = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    edges = np.concatenate([breaks, np.nextafter(breaks, 9.0),
+                            np.nextafter(breaks, -9.0), [-0.0]])
+    rng = np.random.default_rng(12)
+    # squares must match libm pow, which differs from x*x on ~1e-4 of draws
+    coords = np.concatenate([edges, rng.uniform(-4.0, 4.0, size=60000)])
+    X = np.stack([coords, rng.permutation(coords)], axis=1)
+    model = ScadSeparableProblem()
+    Y, infos = model.subproblem_lanes(X)
+    assert len(infos) == len(X)
+    for x, y, phi in zip(X, Y, model.phi_lanes(X)):
+        assert phi == model.phi(x)
+        assert np.array_equal(y.view(np.int64),
+                              model.solve_subproblem(x).view(np.int64))
+
+
 def test_scad_critical_points():
     for point in ((0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (2.0, 2.0)):
         assert scad_criticality_gap(point) <= 1e-15
@@ -209,10 +236,58 @@ def test_basin_explicit_critical_start():
     assert report.counts["(0,0)"] == 1
 
 
-def test_basin_worker_invariance():
-    one = basin_experiment(200, seed=11, variant=Variant.IBDCA, n_workers=1)
-    two = basin_experiment(200, seed=11, variant=Variant.IBDCA, n_workers=2)
-    assert one.counts == two.counts
+def _lane_starts():
+    """About 300 starts: uniform ones, every pair of breakpoints |u| in
+    {0, 1, 2}, and a breakpoint in one coordinate with a uniform other."""
+    rng = np.random.default_rng(31)
+    breaks = (-2.0, -1.0, 0.0, 1.0, 2.0)
+    grid = np.array([(a, b) for a in breaks for b in breaks])
+    mixed = rng.uniform(0.0, 3.0, size=(75, 2))
+    mixed[np.arange(75), rng.integers(0, 2, 75)] = rng.choice(breaks, 75)
+    return np.vstack([rng.uniform(0.0, 3.0, size=(200, 2)), grid, mixed])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_basin_lanes_match_single_solves(variant, monkeypatch):
+    model = ScadSeparableProblem()
+    cfg = default_basin_config(variant)
+    starts = _lane_starts()
+    lanes = solve_lanes(model, starts, cfg)
+    expected = dict.fromkeys(ATTRACTOR_LABELS + (OTHER_LABEL,), 0)
+    for i, start in enumerate(starts):
+        single = solve(model, start, cfg)
+        assert np.array_equal(lanes.final_points[i], single.final_point)
+        assert lanes.final_phi[i] == single.final_phi
+        assert lanes.status[i] is single.status
+        assert lanes.outer_iterations[i] == len(single.trace)
+        assert lanes.backtracks[i] == sum(r.backtracks for r in single.trace)
+        assert lanes.linesearch_failures[i] == single.linesearch_failures
+        expected[classify_attractor(single.final_point)] += 1
+    if variant is Variant.BDCA:
+        assert lanes.linesearch_failures.sum() > 0  # the Armijo floor fired
+
+    whole = basin_experiment(0, seed=0, variant=variant, points=starts)
+    assert whole.counts == expected
+    assert whole.outer_iterations == lanes.outer_iterations.sum()
+    assert whole.backtracks == lanes.backtracks.sum()
+    assert whole.linesearch_failures == lanes.linesearch_failures.sum()
+    monkeypatch.setattr(toy_problems, "BASIN_BLOCK", 7)
+    split = basin_experiment(0, seed=0, variant=variant, points=starts)
+    assert split.counts == whole.counts
+    assert ((split.outer_iterations, split.backtracks,
+             split.linesearch_failures)
+            == (whole.outer_iterations, whole.backtracks,
+                whole.linesearch_failures))
+
+
+def test_import_loads_no_process_pool():
+    code = ("import sys, dcboost; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(dcboost.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_basin_rejects_nonpositive_n():
@@ -233,6 +308,9 @@ def test_basin_csv_layout(tmp_path):
     write_basin_csv(report, path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# seed=3 n_points=50 variant=ibdca elapsed_s=")
+    assert lines[0].endswith(f" outer_iterations={report.outer_iterations} "
+                             f"backtracks={report.backtracks} "
+                             "linesearch_failures=0")
     assert lines[1] == "attractor,count"
     assert lines[2] == '"(0,0)",50'
     assert len(lines) == 2 + 5
