@@ -2,14 +2,17 @@
 
 Every run writes a JSON manifest with its resolved flags and output paths
 beside the outputs, so results can be reproduced from the manifest alone.
-Exit codes: 0 success, 1 numerical failure, 2 usage or input errors.
+Exit codes: 0 success, 1 numerical failure or stdout closed by its reader,
+2 usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from .imaging import (NoiseSpec, PgmError, add_cauchy_noise,
                       write_pgm)
 from .toy_problems import (ATTRACTOR_LABELS, OTHER_LABEL, QuadL1Problem,
                            ScadSeparableProblem, basin_experiment,
-                           write_basin_csv)
+                           default_basin_config, write_basin_csv)
 from .tv_cauchy import CauchyModel, PdConfig
 
 # standard protocol: mu by noise level, and the tuned c for the two
@@ -33,17 +36,26 @@ DEFAULT_C = {(3.0, 15.0): 1.83, (5.0, 20.0): 1.10}
 
 
 class UsageError(Exception):
-    """A flag value the parser accepts but the command cannot use."""
+    """A flag value or input file the command cannot use (exit 2)."""
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as err:
         print(f"dcboost {args.command}: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head -1``); send what is still
+        # buffered to devnull so the exit-time flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 def build_parser():
@@ -57,8 +69,7 @@ def build_parser():
     toy.add_argument("--x0", type=_pair, required=True, metavar="U,V",
                      help="starting point, e.g. 0.5,1")
     _add_variant_flag(toy)
-    _add_solver_flags(toy, alpha=0.2, beta=0.7, max_iter=500,
-                      tol_rel_energy=0.0, tol_direction=1e-10)
+    _add_solver_flags(toy)
     _add_out_dir(toy)
     toy.set_defaults(func=cmd_toy)
 
@@ -67,8 +78,7 @@ def build_parser():
     basin.add_argument("--n", type=int, required=True)
     basin.add_argument("--seed", type=int, default=0)
     _add_variant_flag(basin)
-    _add_solver_flags(basin, alpha=0.2, beta=0.7, max_iter=500,
-                      tol_rel_energy=0.0, tol_direction=1e-10)
+    _add_solver_flags(basin)
     _add_out_dir(basin)
     basin.set_defaults(func=cmd_basin)
 
@@ -92,8 +102,7 @@ def build_parser():
     den.add_argument("--c", type=float, default=None,
                      help="strong-convexity shift (default: tuned per gamma)")
     _add_variant_flag(den)
-    _add_solver_flags(den, alpha=None, beta=0.5, max_iter=200,
-                      tol_rel_energy=5e-4, tol_direction=1e-6)
+    _add_solver_flags(den)
     den.add_argument("--inner-max-iter", type=int, default=300)
     den.add_argument("--inner-tol", type=float, default=1e-5)
     _add_out_dir(den)
@@ -127,70 +136,65 @@ def _add_variant_flag(p):
                    default="ibdca")
 
 
-def _add_solver_flags(p, alpha, beta, max_iter, tol_rel_energy, tol_direction):
-    p.add_argument("--alpha", type=float, default=alpha,
+# solver flag (argparse dest) -> SolverConfig field.  The flags default to
+# None; each command overlays the ones given onto its own defaults.
+_SOLVER_FLAGS = {
+    "alpha": "alpha",
+    "beta": "beta",
+    "lambda_bar": "lambda_bar",
+    "max_iter": "max_outer_iter",
+    "tol_rel_energy": "tol_rel_energy",
+    "tol_direction": "tol_direction",
+    "max_backtracks": "max_backtracks",
+}
+
+
+def _add_solver_flags(p):
+    p.add_argument("--alpha", type=float,
                    help="sufficient-decrease coefficient")
-    p.add_argument("--beta", type=float, default=beta,
-                   help="backtracking shrink factor")
-    p.add_argument("--lambda-bar", type=float, default=None,
+    p.add_argument("--beta", type=float, help="backtracking shrink factor")
+    p.add_argument("--lambda-bar", type=float,
                    help="first trial step (default depends on variant)")
-    p.add_argument("--max-iter", type=int, default=max_iter)
-    p.add_argument("--tol-rel-energy", type=float, default=tol_rel_energy,
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol-rel-energy", type=float,
                    help="relative objective-change stop (<= 0 disables)")
-    p.add_argument("--tol-direction", type=float, default=tol_direction,
+    p.add_argument("--tol-direction", type=float,
                    help="||d|| threshold declaring a critical point")
-    p.add_argument("--max-backtracks", type=int, default=60)
+    p.add_argument("--max-backtracks", type=int)
 
 
 def _add_out_dir(p):
     p.add_argument("--out-dir", default=".")
 
 
-def _resolve_lambda_bar(args, variant, searches_from_y_default=None):
-    if args.lambda_bar is not None:
-        return args.lambda_bar
-    if searches_from_y_default is None:
-        # toy/basin scale: first trial 3, one less for variants searching
-        # from y = x + d so the farthest probed point matches
-        return 2.0 if variant in (Variant.NMBDCA, Variant.BDCA) else 3.0
-    if variant in (Variant.NMBDCA, Variant.BDCA):
-        return searches_from_y_default - 1.0
-    return searches_from_y_default
+def _denoise_defaults(variant, rho):
+    """The restoration protocol's outer settings for a model of modulus rho.
+
+    BDCA and nmBDCA search from y = x + d, so their first trial step is one
+    less, which keeps the farthest probed point the same.
+    """
+    variant = Variant(variant)
+    from_y = variant in (Variant.BDCA, Variant.NMBDCA)
+    return SolverConfig(variant, alpha=0.9 * rho, beta=0.5,
+                        lambda_bar=9.0 if from_y else 10.0,
+                        max_outer_iter=200, tol_rel_energy=5e-4,
+                        tol_direction=1e-6)
 
 
-def _solver_config(args, variant, alpha, lambda_bar):
+def _solver_config(args, defaults):
+    """``defaults`` with the solver flags given on the command line."""
+    given = {field: getattr(args, flag) for flag, field in _SOLVER_FLAGS.items()
+             if getattr(args, flag) is not None}
     try:
-        return SolverConfig(
-            variant=variant,
-            alpha=alpha,
-            beta=args.beta,
-            lambda_bar=lambda_bar,
-            max_outer_iter=args.max_iter,
-            tol_rel_energy=args.tol_rel_energy,
-            tol_direction=args.tol_direction,
-            max_backtracks=args.max_backtracks,
-        )
+        return dataclasses.replace(defaults, **given)
     except ValueError as err:
         raise UsageError(f"invalid solver settings: {err}") from None
 
 
-def _toy_config(args):
-    variant = Variant(args.variant)
-    return _solver_config(args, variant, args.alpha,
-                          _resolve_lambda_bar(args, variant))
-
-
 def _config_flags(cfg):
-    return {
-        "variant": cfg.variant.value,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "lambda_bar": cfg.lambda_bar,
-        "max_iter": cfg.max_outer_iter,
-        "tol_rel_energy": cfg.tol_rel_energy,
-        "tol_direction": cfg.tol_direction,
-        "max_backtracks": cfg.max_backtracks,
-    }
+    return {"variant": cfg.variant.value,
+            **{flag: getattr(cfg, field)
+               for flag, field in _SOLVER_FLAGS.items()}}
 
 
 def _ensure_out_dir(path):
@@ -242,7 +246,7 @@ def cmd_toy(args):
     if not all(math.isfinite(t) for t in args.x0):
         raise UsageError(f"--x0 must be finite, got {args.x0}")
     model = QuadL1Problem() if args.example == "quadl1" else ScadSeparableProblem()
-    cfg = _toy_config(args)
+    cfg = _solver_config(args, default_basin_config(args.variant))
     out_dir = _ensure_out_dir(args.out_dir)
     trace_path = out_dir / "toy_trace.csv"
     stream = _TraceStream(trace_path)
@@ -269,7 +273,7 @@ def cmd_basin(args):
         raise UsageError("--n must be at least 1")
     if args.seed < 0:
         raise UsageError("--seed must be nonnegative")
-    cfg = _toy_config(args)
+    cfg = _solver_config(args, default_basin_config(args.variant))
     report = basin_experiment(args.n, args.seed, cfg.variant, cfg=cfg)
 
     out_dir = _ensure_out_dir(args.out_dir)
@@ -295,8 +299,7 @@ def cmd_basin(args):
 def cmd_denoise(args):
     gamma = args.gamma
     if gamma <= 0.0:
-        print("--gamma must be positive", file=sys.stderr)
-        return 2
+        raise UsageError("--gamma must be positive")
     mu = args.mu if args.mu is not None else DEFAULT_MU.get(gamma, 15.0)
     c = args.c if args.c is not None else DEFAULT_C.get(
         (gamma, mu), 1.1 * mu / gamma ** 2)
@@ -305,23 +308,16 @@ def cmd_denoise(args):
     try:
         clean, noisy, source = _load_observation(args, noise_gamma)
     except (PgmError, OSError, ValueError) as err:
-        print(f"cannot build observation: {err}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot build observation: {err}") from None
 
     try:
         inner = PdConfig(max_inner_iter=args.inner_max_iter,
                          tol_inner=args.inner_tol)
         model = CauchyModel(noisy, mu, gamma, c, inner)
     except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
+        raise UsageError(str(err)) from None
 
-    variant = Variant(args.variant)
-    cfg = _solver_config(
-        args, variant,
-        alpha=args.alpha if args.alpha is not None else 0.9 * model.rho,
-        lambda_bar=_resolve_lambda_bar(args, variant,
-                                       searches_from_y_default=10.0))
+    cfg = _solver_config(args, _denoise_defaults(args.variant, model.rho))
 
     out_dir = _ensure_out_dir(args.out_dir)
     outputs = {}
@@ -414,11 +410,9 @@ def cmd_metrics(args):
         a = read_pgm(args.a)
         b = read_pgm(args.b)
     except (PgmError, OSError) as err:
-        print(str(err), file=sys.stderr)
-        return 2
+        raise UsageError(str(err)) from None
     if a.shape != b.shape:
-        print(f"shape mismatch: {a.shape} vs {b.shape}", file=sys.stderr)
-        return 2
+        raise UsageError(f"shape mismatch: {a.shape} vs {b.shape}")
     print(f"psnr_db={_fmt(psnr(a, b))}")
     print(f"re_err={_fmt(re_err(a, b))}")
     return 0

@@ -26,6 +26,7 @@ with every rule written once over the lanes; :func:`solve` is one lane.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -43,7 +44,6 @@ __all__ = [
     "SubproblemError",
     "Variant",
     "bdca_line_search",
-    "dca_step",
     "ibdca_line_search",
     "nmbdca_line_search",
     "solve",
@@ -83,19 +83,22 @@ class SubproblemError(RuntimeError):
 
 
 class DcModel(ABC):
-    """A difference-of-convex program phi = g - h.
+    """A difference-of-convex program phi = g - h with h smooth.
 
-    Implementations expose the two convex parts, the gradient of the smooth
-    part h, and the solver of the linearized subproblem
-    ``min g(.) - <grad_h(x), .>``.  ``rho`` is a strong-convexity modulus
-    valid for both g and h; it drives the per-step decrease bound
-    ``phi(y) <= phi(x) - rho * ||y - x||^2`` that the line searches rely on.
-    ``dim`` is the ambient dimension (number of scalar unknowns).
+    The outer loop needs only two things from a model: the objective
+    :meth:`phi` and :meth:`solve_subproblem`, the unique minimizer of the
+    linearized subproblem ``min g(.) - <grad_h(x), .>``.  ``rho`` is a
+    strong-convexity modulus valid for both g and h; it drives the per-step
+    decrease bound ``phi(y) <= phi(x) - rho * ||y - x||^2`` that the line
+    searches rely on.  ``dim`` is the ambient dimension (number of scalar
+    unknowns).  How g, h and grad_h are evaluated stays inside the model.
 
-    The outer loop advances a stack of points together, one lane per point,
-    shape ``(B, *point_shape)``.  It reaches the model only through
-    :meth:`phi_lanes` and :meth:`subproblem_lanes`, whose defaults loop over
-    the lanes with the per-point :meth:`phi` and
+    A model may also override :meth:`solve_subproblem_with_info` to report
+    solver diagnostics with each solution (they land in the records'
+    ``aux``).  The outer loop advances a stack of points together, one lane
+    per point, shape ``(B, *point_shape)``, and reaches the model only
+    through :meth:`phi_lanes` and :meth:`subproblem_lanes`, whose defaults
+    loop over the lanes with :meth:`phi` and
     :meth:`solve_subproblem_with_info`; a model with closed forms may
     override them with vectorized versions that give every lane bitwise the
     per-point result.
@@ -108,23 +111,12 @@ class DcModel(ABC):
     rho: float
 
     @abstractmethod
-    def eval_g(self, x):
-        """Value of the (possibly nonsmooth) convex part, extended real."""
-
-    @abstractmethod
-    def eval_h(self, x):
-        """Value of the smooth convex part."""
-
-    @abstractmethod
-    def grad_h(self, x):
-        """Gradient of h at x, same shape as x."""
+    def phi(self, x):
+        """Objective value g(x) - h(x), extended real."""
 
     @abstractmethod
     def solve_subproblem(self, x):
         """Unique minimizer of g(.) - <grad_h(x), .>."""
-
-    def phi(self, x):
-        return self.eval_g(x) - self.eval_h(x)
 
     def solve_subproblem_with_info(self, x):
         """Subproblem solution plus solver diagnostics (empty by default)."""
@@ -155,7 +147,8 @@ class SolverConfig:
     ``lambda_bar`` the first trial step of every line search.  The loop stops
     when ``||d|| <= tol_direction`` (critical point), when the relative
     objective change drops to ``tol_rel_energy`` (disabled when <= 0), or
-    after ``max_outer_iter`` iterations.
+    after ``max_outer_iter`` iterations.  Every float setting must be
+    finite.
     """
 
     variant: Variant = Variant.IBDCA
@@ -169,6 +162,9 @@ class SolverConfig:
 
     def __post_init__(self):
         self.variant = Variant(self.variant)
+        for name in ("alpha", "lambda_bar", "tol_direction", "tol_rel_energy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
         if not 0.0 < self.beta < 1.0:
@@ -235,14 +231,6 @@ def _sqnorms(D):
     # as np.vdot, so a lane's value is bitwise its single-point value
     F = D.reshape(len(D), 1, -1)
     return np.matmul(F, F.transpose(0, 2, 1)).reshape(-1)
-
-
-def dca_step(model, x):
-    """One linearized step: returns (y, d) with y the subproblem solution."""
-    y = model.solve_subproblem(x)
-    if not np.all(np.isfinite(y)):
-        raise SubproblemError("subproblem returned non-finite entries")
-    return y, y - x
 
 
 def _rows(A, lanes):

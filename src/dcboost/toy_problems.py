@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ``solve`` stays importable from this module for existing callers
+# ``solve`` is not called here: perfbench's tracer wraps this module's binding
 from .dc_core import DcModel, SolverConfig, Variant, solve, solve_lanes  # noqa: F401
 
 __all__ = [
@@ -82,9 +82,6 @@ class QuadL1Problem(DcModel):
     def phi(self, x):
         u, v = float(x[0]), float(x[1])
         return -2.5 * u + 0.5 * (u * u + v * v) + abs(u) + abs(v)
-
-    def grad_h(self, x):
-        return np.array([float(x[0]), float(x[1])])
 
     def solve_subproblem(self, x):
         return quadl1_subproblem(x)
@@ -271,18 +268,8 @@ class ScadSeparableProblem(DcModel):
     dim = 2
     rho = 0.4
 
-    def eval_g(self, x):
-        return scad_g_tilde(float(x[0])) + scad_g_tilde(float(x[1]))
-
-    def eval_h(self, x):
-        return scad_h_tilde(float(x[0])) + scad_h_tilde(float(x[1]))
-
     def phi(self, x):
         return scad_phi_tilde(float(x[0])) + scad_phi_tilde(float(x[1]))
-
-    def grad_h(self, x):
-        return np.array([scad_h_tilde_prime(float(x[0])),
-                         scad_h_tilde_prime(float(x[1]))])
 
     def solve_subproblem(self, x):
         return np.array([scad_subproblem_1d(scad_h_tilde_prime(float(x[0]))),
@@ -356,17 +343,14 @@ def classify_attractor(point):
 
 
 def default_basin_config(variant):
-    """Experiment defaults: alpha 0.2, beta 0.7, first trial step 3.
+    """Experiment defaults: :class:`SolverConfig`'s own, first trial step 3.
 
-    The nonmonotone variant searches from y = x + d, so its first trial step
-    defaults to 2 to keep the farthest probed point (at x + 3d) the same.
+    BDCA and nmBDCA search from y = x + d, so their first trial step is 2,
+    which keeps the farthest probed point (at x + 3d) the same.
     """
     variant = Variant(variant)
-    lambda_bar = 2.0 if variant is Variant.NMBDCA else 3.0
-    return SolverConfig(variant=variant, alpha=0.2, beta=0.7,
-                        lambda_bar=lambda_bar, max_outer_iter=500,
-                        tol_rel_energy=0.0, tol_direction=1e-10,
-                        max_backtracks=60)
+    from_y = variant in (Variant.BDCA, Variant.NMBDCA)
+    return SolverConfig(variant, lambda_bar=2.0 if from_y else 3.0)
 
 
 # Starts solved together in one stack of lanes; bounds the working set

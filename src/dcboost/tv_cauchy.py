@@ -29,7 +29,6 @@ __all__ = [
     "energy",
     "grad",
     "grad_h_cauchy",
-    "make_cauchy_model",
     "smooth_part_second_derivative",
     "tv",
     "tv_prox",
@@ -37,6 +36,8 @@ __all__ = [
 
 # squared operator norm of the forward-difference gradient pair
 GRAD_NORM_SQ_BOUND = 8.0
+# first primal and dual step sizes of tv_prox: tau * sigma * 8 = 1
+PD_STEP0 = 1.0 / math.sqrt(GRAD_NORM_SQ_BOUND)
 
 
 class GradientField(NamedTuple):
@@ -111,26 +112,17 @@ def smooth_part_second_derivative(t, mu, gamma, c):
 
 @dataclass
 class PdConfig:
-    """Inner primal-dual solver settings.
-
-    tau0 * sigma0 must respect the operator-norm bound
-    tau0 * sigma0 * 8 <= 1; the stop is on relative primal change.
-    """
+    """Inner primal-dual solver settings; the stop is on relative primal
+    change."""
 
     max_inner_iter: int = 300
     tol_inner: float = 1e-5
-    tau0: float = 1.0 / math.sqrt(8.0)
-    sigma0: float = 1.0 / math.sqrt(8.0)
 
     def __post_init__(self):
         if self.max_inner_iter < 1:
             raise ValueError("max_inner_iter must be at least 1")
         if not self.tol_inner > 0.0:
             raise ValueError("tol_inner must be positive")
-        if not (self.tau0 > 0.0 and self.sigma0 > 0.0):
-            raise ValueError("step sizes must be positive")
-        if self.tau0 * self.sigma0 * GRAD_NORM_SQ_BOUND > 1.0 + 1e-9:
-            raise ValueError("tau0 * sigma0 * 8 must not exceed 1")
 
 
 class TvProxResult(NamedTuple):
@@ -167,7 +159,7 @@ def tv_prox(v, c, cfg=None, u0=None):
     u_hat_prev = u
     px = np.zeros_like(v)
     py = np.zeros_like(v)
-    tau, sigma = cfg.tau0, cfg.sigma0
+    tau = sigma = PD_STEP0
 
     u_hat = u
     resid = math.inf
@@ -217,8 +209,8 @@ class CauchyModel(DcModel):
             raise ValueError("observation must be a 2-D raster, at least 2x2")
         if not np.all(np.isfinite(f)):
             raise ValueError("observation contains non-finite entries")
-        if not (mu > 0.0 and gamma > 0.0 and c > 0.0):
-            raise ValueError("mu, gamma and c must be positive")
+        if not all(0.0 < v < math.inf for v in (mu, gamma, c)):
+            raise ValueError("mu, gamma and c must be positive and finite")
         if c <= mu / gamma ** 2:
             raise ValueError(
                 f"need c > mu/gamma^2 for a strongly convex split "
@@ -245,14 +237,11 @@ class CauchyModel(DcModel):
         # direct form of g - h; avoids the cancelling (c/2)||u||^2 terms
         return energy(u, self)
 
-    def grad_h(self, u):
-        return grad_h_cauchy(u, self)
-
     def solve_subproblem(self, u):
         return self.solve_subproblem_with_info(u)[0]
 
     def solve_subproblem_with_info(self, u):
-        result = tv_prox(self.grad_h(u), self.c, self.inner, u0=u)
+        result = tv_prox(grad_h_cauchy(u, self), self.c, self.inner, u0=u)
         if not np.all(np.isfinite(result.u)):
             raise SubproblemError("inner solver produced non-finite iterate",
                                   residual=result.resid)
@@ -262,8 +251,3 @@ class CauchyModel(DcModel):
             "inner_converged": 1.0 if result.converged else 0.0,
         }
         return result.u, info
-
-
-def make_cauchy_model(f, mu, gamma, c, inner=None):
-    """Build the restoration model; rejects c <= mu/gamma^2."""
-    return CauchyModel(f, mu, gamma, c, inner)

@@ -16,9 +16,9 @@ import oracles
 from dcboost import (CauchyModel, NoiseSpec, PdConfig, QuadL1Problem,
                      ScadSeparableProblem, SolverConfig, Variant,
                      add_cauchy_noise, basin_experiment, bdca_line_search,
-                     dca_step, grad, grad_h_cauchy, ibdca_line_search,
-                     make_cauchy_model, make_squares_image, psnr, quantize_u8,
-                     re_err, solve, tv_prox)
+                     grad, grad_h_cauchy, ibdca_line_search,
+                     make_squares_image, psnr, quantize_u8, re_err, solve,
+                     tv_prox)
 from dcboost.tv_cauchy import div, smooth_part_second_derivative
 
 REL_TOL = 1e-8  # monotonicity slack, attributable only to inner inexactness
@@ -81,9 +81,10 @@ def test_criterion_1_worked_iterate_exactness():
 
     def body():
         x0 = np.array([0.5, 1.0])
-        y0, d0 = dca_step(model, x0)
+        y0 = model.solve_subproblem(x0)
         assert np.max(np.abs(y0 - np.array([1.0, 0.0]))) <= 1e-12
-        y1, d1 = dca_step(model, y0)
+        y1 = model.solve_subproblem(y0)
+        d1 = y1 - y0
         assert np.max(np.abs(y1 - np.array([1.25, 0.0]))) <= 1e-12
         lam, _ = ibdca_line_search(model, y0, y1, d1, cfg)
         assert lam == 2.0
@@ -99,7 +100,9 @@ def test_criterion_1_worked_iterate_exactness():
 
 def test_criterion_2_bdca_failure_reproduction():
     model = QuadL1Problem()
-    y0, d0 = dca_step(model, np.array([0.5, 1.0]))
+    x0 = np.array([0.5, 1.0])
+    y0 = model.solve_subproblem(x0)
+    d0 = y0 - x0
 
     def body():
         for alpha in (1e-6, 1e-3, 0.2, 0.9, 1.0, 2.0):
@@ -242,7 +245,7 @@ def test_criterion_7_operator_oracle_suite():
 
     # smooth-part gradient against central differences, 20 directions
     f = rng.uniform(0.0, 255.0, size=(6, 6))
-    model = make_cauchy_model(f, mu=15.0, gamma=3.0, c=1.83)
+    model = CauchyModel(f, mu=15.0, gamma=3.0, c=1.83)
 
     def h_value(u):
         r = u - f
@@ -278,10 +281,10 @@ def test_criterion_8_convexity_threshold():
 
     f = np.full((4, 4), 100.0)
     with pytest.raises(ValueError):
-        make_cauchy_model(f, mu=mu, gamma=gamma, c=c_star)
+        CauchyModel(f, mu=mu, gamma=gamma, c=c_star)
     with pytest.raises(ValueError):
-        make_cauchy_model(f, mu=mu, gamma=gamma, c=0.5 * c_star)
-    make_cauchy_model(f, mu=mu, gamma=gamma, c=c_star + 1e-9)
+        CauchyModel(f, mu=mu, gamma=gamma, c=0.5 * c_star)
+    CauchyModel(f, mu=mu, gamma=gamma, c=c_star + 1e-9)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -1,11 +1,18 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcboost
+from dcboost import Variant
 from dcboost.cli import main
+from dcboost.toy_problems import default_basin_config
 
 
 def run(capsys, *argv):
@@ -76,6 +83,13 @@ def test_toy_invalid_flags_exit_2():
     ["toy", "--example", "quadl1", "--x0", "0.5,1", "--max-iter", "0"],
     ["toy", "--example", "quadl1", "--x0", "nan,1"],
     ["denoise", "--synthetic", "--size", "16x16", "--max-iter", "0"],
+    ["denoise", "--synthetic", "--size", "16x16", "--gamma", "0"],
+    ["denoise", "--synthetic", "--size", "16x16", "--c", "1.0"],
+    ["denoise", "--synthetic", "--size", "16x16", "--c", "inf"],
+    ["denoise", "--input", "no/such/observation.pgm"],
+    ["denoise", "--synthetic", "--size", "16x16", "--inner-max-iter", "0"],
+    ["denoise", "--synthetic", "--size", "16x16", "--tol-direction", "nan"],
+    ["basin", "--n", "10", "--alpha", "inf"],
 ])
 def test_bad_flag_values_exit_2_with_one_line(argv, tmp_path, capsys):
     code = main(argv + ["--out-dir", str(tmp_path)])
@@ -85,6 +99,43 @@ def test_bad_flag_values_exit_2_with_one_line(argv, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"dcboost {argv[0]}: ")
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_toy_and_basin_solver_flags_default_to_basin_config(variant, tmp_path,
+                                                            capsys):
+    cfg = default_basin_config(variant)
+    expected = {"variant": variant, "alpha": cfg.alpha, "beta": cfg.beta,
+                "lambda_bar": cfg.lambda_bar, "max_iter": cfg.max_outer_iter,
+                "tol_rel_energy": cfg.tol_rel_energy,
+                "tol_direction": cfg.tol_direction,
+                "max_backtracks": cfg.max_backtracks}
+    for argv in (["toy", "--example", "scad", "--x0", "2.2,0.4"],
+                 ["basin", "--n", "5"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--variant", variant, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / f"{argv[0]}_manifest.json").read_text())
+        assert {key: manifest["flags"][key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_1_quietly(unbuffered, tmp_path):
+    # the reader of stdout is gone before the first line is written, as
+    # when ``dcboost basin ... | head -1`` outlives ``head``
+    env = dict(os.environ, PYTHONPATH=str(Path(dcboost.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dcboost.cli", "basin", "--n", "500",
+         "--out-dir", str(tmp_path)],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_toy_max_iterations_is_failure(tmp_path, capsys):
@@ -314,8 +365,12 @@ def test_metrics_shape_mismatch_exit_2(tmp_path, capsys):
     write_pgm(tmp_path / "b.pgm", np.zeros((4, 5)))
     assert main(["metrics", str(tmp_path / "a.pgm"),
                  str(tmp_path / "b.pgm")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dcboost metrics: ")
 
 
-def test_metrics_missing_file_exit_2(tmp_path):
+def test_metrics_missing_file_exit_2(tmp_path, capsys):
     assert main(["metrics", str(tmp_path / "nope.pgm"),
                  str(tmp_path / "nope2.pgm")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("dcboost metrics: ")

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from dcboost import (QuadL1Problem, ScadSeparableProblem, SolverConfig,
                      Status, SubproblemError, Variant, bdca_line_search,
-                     dca_step, ibdca_line_search, nmbdca_line_search, solve,
+                     ibdca_line_search, nmbdca_line_search, solve,
                      write_trace_csv)
 from dcboost.dc_core import DcModel, solve_lanes
 from dcboost.toy_problems import (quadl1_criticality_gap,
@@ -20,14 +20,8 @@ class QuadraticModel(DcModel):
     dim = 2
     rho = 1.0
 
-    def eval_g(self, x):
-        return 1.5 * float(np.vdot(x, x))
-
-    def eval_h(self, x):
-        return 0.5 * float(np.vdot(x, x))
-
-    def grad_h(self, x):
-        return np.asarray(x, dtype=float)
+    def phi(self, x):
+        return float(np.vdot(x, x))
 
     def solve_subproblem(self, x):
         return np.asarray(x, dtype=float) / 3.0
@@ -38,6 +32,12 @@ class BrokenModel(QuadraticModel):
         return np.array([math.nan, math.nan])
 
 
+def linearized_step(model, x):
+    """The linearized step: subproblem solution y and direction y - x."""
+    y = model.solve_subproblem(x)
+    return y, y - x
+
+
 def ibdca_cfg(**kw):
     base = dict(variant=Variant.IBDCA, alpha=0.2, beta=0.5, lambda_bar=2.0)
     base.update(kw)
@@ -45,19 +45,23 @@ def ibdca_cfg(**kw):
 
 
 # ---------------------------------------------------------------------------
-# dca_step
+# the model contract and the linearized step
 # ---------------------------------------------------------------------------
+
+def test_model_contract_is_phi_and_subproblem():
+    assert DcModel.__abstractmethods__ == {"phi", "solve_subproblem"}
+
 
 def test_dca_step_first_worked_iterate():
     model = QuadL1Problem()
-    y, d = dca_step(model, np.array([0.5, 1.0]))
+    y, d = linearized_step(model, np.array([0.5, 1.0]))
     assert np.allclose(y, [1.0, 0.0], atol=1e-12, rtol=0)
     assert np.allclose(d, [0.5, -1.0], atol=1e-12, rtol=0)
 
 
 def test_dca_step_second_worked_iterate():
     model = QuadL1Problem()
-    y, d = dca_step(model, np.array([1.0, 0.0]))
+    y, d = linearized_step(model, np.array([1.0, 0.0]))
     assert np.allclose(y, [1.25, 0.0], atol=1e-12, rtol=0)
     assert np.allclose(d, [0.25, 0.0], atol=1e-12, rtol=0)
 
@@ -68,7 +72,7 @@ def test_dca_step_scad_origin_is_fixed_point():
     t_star = oracles.grid_argmin(lambda t: oracles.scad_g_vec(t) - w0 * t,
                                  -4.0, 4.0)
     assert abs(t_star) <= 1e-6
-    y, d = dca_step(ScadSeparableProblem(), np.array([0.0, 0.0]))
+    y, d = linearized_step(ScadSeparableProblem(), np.array([0.0, 0.0]))
     assert np.all(y == 0.0) and np.all(d == 0.0)
 
 
@@ -78,13 +82,15 @@ def test_dca_step_decrease_bound():
     for model in (QuadL1Problem(), ScadSeparableProblem()):
         for _ in range(50):
             x = rng.uniform(-3.0, 3.0, size=2)
-            y, d = dca_step(model, x)
+            y, d = linearized_step(model, x)
             assert model.phi(y) <= model.phi(x) - model.rho * np.vdot(d, d) + 1e-12
 
 
-def test_dca_step_rejects_nonfinite_subproblem():
-    with pytest.raises(SubproblemError):
-        dca_step(BrokenModel(), np.array([1.0, 1.0]))
+def test_solve_rejects_nonfinite_subproblem():
+    for variant in Variant:
+        with pytest.raises(SubproblemError):
+            solve(BrokenModel(), np.array([1.0, 1.0]),
+                  SolverConfig(variant=variant))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +100,7 @@ def test_dca_step_rejects_nonfinite_subproblem():
 def test_ibdca_accepts_lambda_2_on_second_worked_iterate():
     model = QuadL1Problem()
     x = np.array([1.0, 0.0])
-    y, d = dca_step(model, x)
+    y, d = linearized_step(model, x)
     lam, backtracks = ibdca_line_search(model, x, y, d, ibdca_cfg())
     assert lam == 2.0
     assert backtracks == 0
@@ -109,7 +115,7 @@ def test_ibdca_clamps_to_one_when_no_rung_passes():
     # the first worked iterate: the lambda = 2 trial fails the dominance test
     model = QuadL1Problem()
     x = np.array([0.5, 1.0])
-    y, d = dca_step(model, x)
+    y, d = linearized_step(model, x)
     lam, backtracks = ibdca_line_search(model, x, y, d, ibdca_cfg())
     assert lam == 1.0
     assert backtracks >= 1
@@ -122,7 +128,7 @@ def test_ibdca_ladder_matches_bruteforce_on_scad():
     cfg = SolverConfig(variant=Variant.IBDCA, alpha=0.2, beta=0.7,
                        lambda_bar=3.0)
     x = np.array([2.2, 0.4])
-    y, d = dca_step(model, x)
+    y, d = linearized_step(model, x)
     lam, _ = ibdca_line_search(model, x, y, d, cfg)
 
     # oracle: walk the ladder with the independently restated phi
@@ -151,7 +157,7 @@ def test_ibdca_lambda_always_in_unit_to_bar_range():
                            lambda_bar=3.0)
         for _ in range(100):
             x = rng.uniform(-3.0, 3.0, size=2)
-            y, d = dca_step(model, x)
+            y, d = linearized_step(model, x)
             if np.vdot(d, d) < 1e-20:
                 continue
             lam, _ = ibdca_line_search(model, x, y, d, cfg)
@@ -166,7 +172,7 @@ def test_ibdca_lambda_always_in_unit_to_bar_range():
 def test_bdca_fails_on_first_worked_iterate(alpha):
     # the direction ascends at y through the |v| kink, for any alpha > 0
     model = QuadL1Problem()
-    y, d = dca_step(model, np.array([0.5, 1.0]))
+    y, d = linearized_step(model, np.array([0.5, 1.0]))
     cfg = SolverConfig(variant=Variant.BDCA, alpha=alpha, beta=0.5,
                        lambda_bar=2.0)
     lam, _ = bdca_line_search(model, y, d, cfg)
@@ -176,7 +182,7 @@ def test_bdca_fails_on_first_worked_iterate(alpha):
 def test_bdca_accepts_on_smooth_quadratic():
     model = QuadraticModel()
     x = np.array([3.0, -1.5])
-    y, d = dca_step(model, x)
+    y, d = linearized_step(model, x)
     cfg = SolverConfig(variant=Variant.BDCA, alpha=0.05, beta=0.5,
                        lambda_bar=2.0)
     lam, _ = bdca_line_search(model, y, d, cfg)
@@ -189,7 +195,7 @@ def test_bdca_accepts_where_phi_smooth_at_y():
     # where phi is smooth, so a positive step must exist (alpha < rho)
     model = ScadSeparableProblem()
     x = np.array([2.2, 2.2])
-    y, d = dca_step(model, x)
+    y, d = linearized_step(model, x)
     slope = oracles.forward_fd_directional(model.phi, y, d, step=1e-7)
     assert slope < 0.0  # descent direction at y, by finite differences
     cfg = SolverConfig(variant=Variant.BDCA, alpha=0.2, beta=0.5,
@@ -204,7 +210,7 @@ def test_bdca_accepts_where_phi_smooth_at_y():
 
 def test_nmbdca_accepts_where_bdca_fails():
     model = QuadL1Problem()
-    y, d = dca_step(model, np.array([0.5, 1.0]))
+    y, d = linearized_step(model, np.array([0.5, 1.0]))
     cfg = SolverConfig(variant=Variant.NMBDCA, alpha=0.2, beta=0.5,
                        lambda_bar=2.0)
     lam, _ = nmbdca_line_search(model, y, d, 0, cfg)
@@ -230,15 +236,6 @@ def test_nmbdca_allowance_schedule(k, dsq, expected):
     class Bump(DcModel):
         dim = 1
         rho = 1.0
-
-        def eval_g(self, x):
-            return 0.0
-
-        def eval_h(self, x):
-            return 0.0
-
-        def grad_h(self, x):
-            return np.zeros_like(x)
 
         def solve_subproblem(self, x):
             return np.asarray(x, dtype=float)
@@ -267,7 +264,7 @@ def test_nmbdca_accepted_step_respects_documented_inequality():
     checked = 0
     for _ in range(40):
         x = rng.uniform(0.0, 3.0, size=2)
-        y, d = dca_step(model, x)
+        y, d = linearized_step(model, x)
         dsq = float(np.vdot(d, d))
         if dsq < 1e-12:
             continue
@@ -517,6 +514,9 @@ def test_concurrent_solves_match_sequential():
     dict(alpha=0.0), dict(alpha=-1.0), dict(beta=0.0), dict(beta=1.0),
     dict(lambda_bar=1.0), dict(lambda_bar=0.5), dict(max_outer_iter=0),
     dict(tol_direction=-1.0), dict(max_backtracks=0),
+    dict(alpha=math.inf), dict(lambda_bar=math.inf),
+    dict(tol_direction=math.nan), dict(tol_direction=math.inf),
+    dict(tol_rel_energy=math.nan), dict(tol_rel_energy=-math.inf),
 ])
 def test_solver_config_validation(bad):
     with pytest.raises(ValueError):

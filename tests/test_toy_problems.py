@@ -299,6 +299,7 @@ def test_default_basin_config_lambda_bar():
     assert default_basin_config(Variant.IBDCA).lambda_bar == 3.0
     assert default_basin_config(Variant.DCA).lambda_bar == 3.0
     # searches start at y = x + d, one step shorter to probe the same span
+    assert default_basin_config(Variant.BDCA).lambda_bar == 2.0
     assert default_basin_config(Variant.NMBDCA).lambda_bar == 2.0
 
 

@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 from dcboost import (CauchyModel, PdConfig, SolverConfig, Variant, div,
-                     energy, grad, grad_h_cauchy, make_cauchy_model,
-                     make_squares_image, solve, tv, tv_prox)
-from dcboost.tv_cauchy import (GRAD_NORM_SQ_BOUND,
+                     energy, grad, grad_h_cauchy, make_squares_image, solve,
+                     tv, tv_prox)
+from dcboost.tv_cauchy import (GRAD_NORM_SQ_BOUND, PD_STEP0,
                                smooth_part_second_derivative)
 
 
@@ -191,13 +191,11 @@ def test_tv_prox_rejects_nonpositive_c():
 
 def test_pd_config_validation():
     with pytest.raises(ValueError):
-        PdConfig(tau0=1.0, sigma0=1.0)  # violates tau*sigma*8 <= 1
-    with pytest.raises(ValueError):
         PdConfig(max_inner_iter=0)
     with pytest.raises(ValueError):
         PdConfig(tol_inner=0.0)
-    cfg = PdConfig()
-    assert cfg.tau0 * cfg.sigma0 * 8.0 <= 1.0 + 1e-9
+    # the first step sizes respect the operator-norm bound tau*sigma*8 <= 1
+    assert PD_STEP0 * PD_STEP0 * GRAD_NORM_SQ_BOUND <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +204,18 @@ def test_pd_config_validation():
 
 def test_model_rho_reference_settings():
     f = np.full((4, 4), 100.0)
-    m1 = make_cauchy_model(f, mu=15.0, gamma=3.0, c=1.83)
+    m1 = CauchyModel(f, mu=15.0, gamma=3.0, c=1.83)
     assert abs(m1.rho - (1.83 - 15.0 / 9.0)) <= 1e-15
-    m2 = make_cauchy_model(f, mu=20.0, gamma=5.0, c=1.10)
+    m2 = CauchyModel(f, mu=20.0, gamma=5.0, c=1.10)
     assert abs(m2.rho - 0.30) <= 1e-15
 
 
 def test_model_rejects_weak_convexity_shift():
     f = np.full((4, 4), 100.0)
     with pytest.raises(ValueError):
-        make_cauchy_model(f, mu=15.0, gamma=3.0, c=15.0 / 9.0)  # equality
+        CauchyModel(f, mu=15.0, gamma=3.0, c=15.0 / 9.0)  # equality
     with pytest.raises(ValueError):
-        make_cauchy_model(f, mu=15.0, gamma=3.0, c=1.0)
+        CauchyModel(f, mu=15.0, gamma=3.0, c=1.0)
 
 
 def test_model_rejects_bad_observation():
@@ -227,6 +225,8 @@ def test_model_rejects_bad_observation():
         CauchyModel(np.full((4, 4), math.nan), mu=15.0, gamma=3.0, c=1.83)
     with pytest.raises(ValueError):
         CauchyModel(np.zeros((4, 4)), mu=-1.0, gamma=3.0, c=1.83)
+    with pytest.raises(ValueError):
+        CauchyModel(np.zeros((4, 4)), mu=15.0, gamma=3.0, c=math.inf)
 
 
 def test_model_phi_consistent_with_parts():
