@@ -86,7 +86,8 @@ def test_dca_step_decrease_bound():
             assert model.phi(y) <= model.phi(x) - model.rho * np.vdot(d, d) + 1e-12
 
 
-def test_solve_rejects_nonfinite_subproblem():
+def test_dca_step_rejects_nonfinite_subproblem():
+    # the DCA step inside solve checks the subproblem solution, every variant
     for variant in Variant:
         with pytest.raises(SubproblemError):
             solve(BrokenModel(), np.array([1.0, 1.0]),
