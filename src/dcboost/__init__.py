@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .dc_core import (DcModel, IterateRecord, SolveResult, SolverConfig,
                       Status, SubproblemError, Variant, bdca_line_search,
-                      ibdca_line_search, nmbdca_line_search, solve,
-                      write_trace_csv)
+                      ibdca_line_search, nmbdca_line_search, solve)
 from .imaging import (NoiseSpec, PgmError, add_cauchy_noise,
                       make_squares_image, psnr, quantize_u8, re_err, read_pgm,
                       write_pgm)
@@ -27,5 +26,5 @@ __all__ = [
     "make_squares_image", "nmbdca_line_search", "psnr", "quadl1_subproblem",
     "quantize_u8", "re_err", "read_pgm", "scad_phi_tilde",
     "scad_subproblem_1d", "solve", "tv", "tv_prox", "write_basin_csv",
-    "write_pgm", "write_trace_csv",
+    "write_pgm",
 ]

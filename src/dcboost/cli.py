@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dc_core import (SolverConfig, Status, SubproblemError, Variant, solve,
-                      trace_header, trace_row)
+from .dc_core import (SolverConfig, Status, SubproblemError, Variant,
+                      first_trial_step, format_float, solve, trace_header,
+                      trace_row)
 from .imaging import (NoiseSpec, PgmError, add_cauchy_noise,
                       make_squares_image, psnr, quantize_u8, re_err, read_pgm,
                       write_pgm)
@@ -43,7 +44,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        # overflow to inf/nan is caught by the finiteness checks, not warned
+        with np.errstate(all="ignore"):
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except UsageError as err:
@@ -103,8 +106,8 @@ def build_parser():
                      help="strong-convexity shift (default: tuned per gamma)")
     _add_variant_flag(den)
     _add_solver_flags(den)
-    den.add_argument("--inner-max-iter", type=int, default=300)
-    den.add_argument("--inner-tol", type=float, default=1e-5)
+    den.add_argument("--inner-max-iter", type=int)
+    den.add_argument("--inner-tol", type=float)
     _add_out_dir(den)
     den.set_defaults(func=cmd_denoise)
 
@@ -136,8 +139,9 @@ def _add_variant_flag(p):
                    default="ibdca")
 
 
-# solver flag (argparse dest) -> SolverConfig field.  The flags default to
-# None; each command overlays the ones given onto its own defaults.
+# flag (argparse dest) -> SolverConfig / PdConfig field.  The flags default
+# to None; each command overlays the ones given onto its own defaults.
+_INNER_FLAGS = {"inner_max_iter": "max_inner_iter", "inner_tol": "tol_inner"}
 _SOLVER_FLAGS = {
     "alpha": "alpha",
     "beta": "beta",
@@ -168,22 +172,17 @@ def _add_out_dir(p):
 
 
 def _denoise_defaults(variant, rho):
-    """The restoration protocol's outer settings for a model of modulus rho.
-
-    BDCA and nmBDCA search from y = x + d, so their first trial step is one
-    less, which keeps the farthest probed point the same.
-    """
-    variant = Variant(variant)
-    from_y = variant in (Variant.BDCA, Variant.NMBDCA)
+    """The restoration protocol's outer settings for a model of modulus rho,
+    farthest probe at x + 10d (see :func:`first_trial_step`)."""
     return SolverConfig(variant, alpha=0.9 * rho, beta=0.5,
-                        lambda_bar=9.0 if from_y else 10.0,
+                        lambda_bar=first_trial_step(variant, 10.0),
                         max_outer_iter=200, tol_rel_energy=5e-4,
                         tol_direction=1e-6)
 
 
-def _solver_config(args, defaults):
-    """``defaults`` with the solver flags given on the command line."""
-    given = {field: getattr(args, flag) for flag, field in _SOLVER_FLAGS.items()
+def _solver_config(args, defaults, flags=_SOLVER_FLAGS):
+    """``defaults`` with the ``flags`` given on the command line."""
+    given = {field: getattr(args, flag) for flag, field in flags.items()
              if getattr(args, flag) is not None}
     try:
         return dataclasses.replace(defaults, **given)
@@ -216,25 +215,16 @@ def _write_manifest(out_dir, command, flags, outputs, **extra):
     return path
 
 
-def _fmt(x):
-    if math.isinf(x):
-        return "inf"
-    return format(float(x), ".17g")
-
-
 class _TraceStream:
     """Appends one CSV row per record as the solve progresses, so partial
     traces survive an interrupted run."""
 
-    def __init__(self, path, aux_keys=(), annotate=None):
+    def __init__(self, path, aux_keys=()):
         self.aux_keys = tuple(aux_keys)
-        self.annotate = annotate
         self.fh = open(path, "w", newline="")
         self.fh.write(trace_header(self.aux_keys) + "\n")
 
     def __call__(self, rec):
-        if self.annotate is not None:
-            self.annotate(rec)
         self.fh.write(trace_row(rec, self.aux_keys) + "\n")
         self.fh.flush()
 
@@ -243,8 +233,6 @@ class _TraceStream:
 
 
 def cmd_toy(args):
-    if not all(math.isfinite(t) for t in args.x0):
-        raise UsageError(f"--x0 must be finite, got {args.x0}")
     model = QuadL1Problem() if args.example == "quadl1" else ScadSeparableProblem()
     cfg = _solver_config(args, default_basin_config(args.variant))
     out_dir = _ensure_out_dir(args.out_dir)
@@ -255,6 +243,8 @@ def cmd_toy(args):
     except SubproblemError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 1
+    except ValueError as err:  # x0 outside dom phi, or not finite
+        raise UsageError(str(err)) from None
     finally:
         stream.close()
 
@@ -262,8 +252,8 @@ def cmd_toy(args):
              "out_dir": str(out_dir), **_config_flags(cfg)}
     _write_manifest(out_dir, "toy", flags, {"trace": trace_path})
 
-    u, v = result.final_point
-    print(f"final_point=({_fmt(u)},{_fmt(v)}) phi={_fmt(result.final_phi)} "
+    u, v = (format_float(t) for t in result.final_point)
+    print(f"final_point=({u},{v}) phi={format_float(result.final_phi)} "
           f"iterations={len(result.trace)} status={result.status.value}")
     return 0 if result.status is not Status.MAX_ITERATIONS else 1
 
@@ -271,10 +261,11 @@ def cmd_toy(args):
 def cmd_basin(args):
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
     cfg = _solver_config(args, default_basin_config(args.variant))
-    report = basin_experiment(args.n, args.seed, cfg.variant, cfg=cfg)
+    try:
+        report = basin_experiment(args.n, args.seed, cfg.variant, cfg=cfg)
+    except ValueError as err:  # the seed is outside Philox's key range
+        raise UsageError(f"--seed {args.seed}: {err}") from None
 
     out_dir = _ensure_out_dir(args.out_dir)
     csv_path = out_dir / "basin_report.csv"
@@ -301,8 +292,6 @@ def cmd_denoise(args):
     if gamma <= 0.0:
         raise UsageError("--gamma must be positive")
     mu = args.mu if args.mu is not None else DEFAULT_MU.get(gamma, 15.0)
-    c = args.c if args.c is not None else DEFAULT_C.get(
-        (gamma, mu), 1.1 * mu / gamma ** 2)
     noise_gamma = args.noise_gamma if args.noise_gamma is not None else gamma
 
     try:
@@ -310,12 +299,15 @@ def cmd_denoise(args):
     except (PgmError, OSError, ValueError) as err:
         raise UsageError(f"cannot build observation: {err}") from None
 
+    inner = _solver_config(args, PdConfig(), _INNER_FLAGS)
     try:
-        inner = PdConfig(max_inner_iter=args.inner_max_iter,
-                         tol_inner=args.inner_tol)
+        c = args.c if args.c is not None else DEFAULT_C.get(
+            (gamma, mu), 1.1 * mu / gamma ** 2)
         model = CauchyModel(noisy, mu, gamma, c, inner)
     except ValueError as err:
         raise UsageError(str(err)) from None
+    except ArithmeticError:  # gamma**2 overflows or underflows to 0
+        raise UsageError(f"--gamma {gamma:g} is out of range") from None
 
     cfg = _solver_config(args, _denoise_defaults(args.variant, model.rho))
 
@@ -323,20 +315,22 @@ def cmd_denoise(args):
     outputs = {}
     trace_path = out_dir / "denoise_trace.csv"
 
-    def annotate(rec):
+    stream = _TraceStream(trace_path, aux_keys=("energy", "psnr",
+                                                "inner_iters", "inner_resid"))
+
+    def on_record(rec):
         rec.aux["energy"] = rec.phi
         rec.aux["psnr"] = psnr(rec.x, clean) if clean is not None else math.nan
+        stream(rec)
 
-    stream = _TraceStream(trace_path,
-                          aux_keys=("energy", "psnr", "inner_iters",
-                                    "inner_resid"),
-                          annotate=annotate)
     try:
-        result = solve(model, noisy, cfg, on_record=stream)  # u0 = f
+        result = solve(model, noisy, cfg, on_record=on_record)  # u0 = f
     except SubproblemError as err:
         print(f"inner solver failure: {err} (residual {err.residual:g})",
               file=sys.stderr)
         return 1
+    except ValueError as err:  # phi(f) is not finite, or c too large
+        raise UsageError(str(err)) from None
     finally:
         stream.close()
     outputs["trace"] = trace_path
@@ -374,14 +368,14 @@ def cmd_denoise(args):
     flags = {
         "source": source, "size": list(args.size), "gamma": gamma,
         "noise_gamma": noise_gamma, "seed": args.seed, "mu": mu, "c": c,
-        "inner_max_iter": args.inner_max_iter, "inner_tol": args.inner_tol,
+        "inner_max_iter": inner.max_inner_iter, "inner_tol": inner.tol_inner,
         "out_dir": str(out_dir), **_config_flags(cfg),
     }
     _write_manifest(out_dir, "denoise", flags, outputs)
 
-    for key in sorted(summary):
-        value = summary[key]
-        print(f"{key}={_fmt(value) if isinstance(value, float) else value}")
+    for key, value in sorted(summary.items()):
+        text = format_float(value) if isinstance(value, float) else value
+        print(f"{key}={text}")
     return 0 if inner_ok else 1
 
 
@@ -392,17 +386,14 @@ def _load_observation(args, noise_gamma):
     the solver input, the written noisy.pgm and every reported metric all
     describe the same image.
     """
+    if args.input is not None:
+        return None, read_pgm(args.input), "input"
     if args.synthetic:
-        clean = make_squares_image(*args.size)
-        spec = NoiseSpec(gamma=noise_gamma, seed=args.seed)
-        noisy = quantize_u8(add_cauchy_noise(clean, spec))
-        return clean, noisy, "synthetic"
-    if args.clean is not None:
-        clean = read_pgm(args.clean)
-        spec = NoiseSpec(gamma=noise_gamma, seed=args.seed)
-        noisy = quantize_u8(add_cauchy_noise(clean, spec))
-        return clean, noisy, "clean"
-    return None, read_pgm(args.input), "input"
+        clean, source = make_squares_image(*args.size), "synthetic"
+    else:
+        clean, source = read_pgm(args.clean), "clean"
+    spec = NoiseSpec(gamma=noise_gamma, seed=args.seed)
+    return clean, quantize_u8(add_cauchy_noise(clean, spec)), source
 
 
 def cmd_metrics(args):
@@ -413,8 +404,8 @@ def cmd_metrics(args):
         raise UsageError(str(err)) from None
     if a.shape != b.shape:
         raise UsageError(f"shape mismatch: {a.shape} vs {b.shape}")
-    print(f"psnr_db={_fmt(psnr(a, b))}")
-    print(f"re_err={_fmt(re_err(a, b))}")
+    print(f"psnr_db={format_float(psnr(a, b))}")
+    print(f"re_err={format_float(re_err(a, b))}")
     return 0
 
 

@@ -44,13 +44,14 @@ __all__ = [
     "SubproblemError",
     "Variant",
     "bdca_line_search",
+    "first_trial_step",
+    "format_float",
     "ibdca_line_search",
     "nmbdca_line_search",
     "solve",
     "solve_lanes",
     "trace_header",
     "trace_row",
-    "write_trace_csv",
 ]
 
 
@@ -177,6 +178,13 @@ class SolverConfig:
             raise ValueError("tol_direction must be nonnegative")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be at least 1")
+
+
+def first_trial_step(variant, reach):
+    """The ``lambda_bar`` whose farthest probe is x + reach*d: BDCA and
+    nmBDCA search from y = x + d, so their first trial step is one less."""
+    from_y = Variant(variant) in (Variant.BDCA, Variant.NMBDCA)
+    return reach - 1.0 if from_y else reach
 
 
 @dataclass
@@ -556,7 +564,8 @@ def solve(model, x0, cfg, on_record=None):
 TRACE_COLUMNS = ("k", "phi", "d_norm", "lambda", "backtracks", "wall_time_s")
 
 
-def _g17(value):
+def format_float(value):
+    """17 significant digits: every double reads back exactly."""
     return format(float(value), ".17g")
 
 
@@ -565,27 +574,14 @@ def trace_header(aux_keys=()):
 
 
 def trace_row(rec, aux_keys=()):
-    """One CSV row for a record, floats rendered with 17 significant digits."""
+    """One CSV row for a record; ``aux_keys`` columns read nan if missing."""
     row = [
         str(rec.k),
-        _g17(rec.phi),
-        _g17(rec.d_norm),
-        _g17(rec.lam),
+        format_float(rec.phi),
+        format_float(rec.d_norm),
+        format_float(rec.lam),
         str(rec.backtracks),
-        _g17(rec.wall_time),
+        format_float(rec.wall_time),
     ]
-    row.extend(_g17(rec.aux.get(key, float("nan"))) for key in tuple(aux_keys))
+    row.extend(format_float(rec.aux.get(key, float("nan"))) for key in aux_keys)
     return ",".join(row)
-
-
-def write_trace_csv(trace, path, aux_keys=()):
-    """Write trace rows as CSV.
-
-    ``aux_keys`` appends extra columns pulled from each record's aux dict
-    (missing entries become nan).
-    """
-    aux_keys = tuple(aux_keys)
-    with open(path, "w", newline="") as fh:
-        fh.write(trace_header(aux_keys) + "\n")
-        for rec in trace:
-            fh.write(trace_row(rec, aux_keys) + "\n")

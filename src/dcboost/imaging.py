@@ -61,10 +61,7 @@ def add_cauchy_noise(u, spec):
         r1, r2 = _standard_normal_pair(rng, int(bad.sum()))
         v1[bad] = r1
         v2[bad] = r2
-        bad2 = np.abs(v2[bad]) < DENOM_GUARD
-        idx = np.flatnonzero(bad)
-        bad = np.zeros_like(bad)
-        bad[idx[bad2]] = True
+        bad = np.abs(v2) < DENOM_GUARD
     noise = spec.gamma * v1 / v2
     return u + noise.reshape(u.shape)
 

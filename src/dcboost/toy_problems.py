@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # ``solve`` is not called here: perfbench's tracer wraps this module's binding
-from .dc_core import DcModel, SolverConfig, Variant, solve, solve_lanes  # noqa: F401
+from .dc_core import (DcModel, SolverConfig, Variant, first_trial_step,  # noqa: F401
+                      solve, solve_lanes)
 
 __all__ = [
     "ATTRACTOR_LABELS",
@@ -90,7 +91,7 @@ class QuadL1Problem(DcModel):
 def quadl1_criticality_gap(x):
     """Distance from grad_h(x) to the subdifferential of g at x.
 
-    Zero exactly at critical points; used as the termination certificate.
+    Zero exactly at critical points; a test certificate, not solve's stop.
     """
     u, v = float(x[0]), float(x[1])
     if u != 0.0:
@@ -343,14 +344,9 @@ def classify_attractor(point):
 
 
 def default_basin_config(variant):
-    """Experiment defaults: :class:`SolverConfig`'s own, first trial step 3.
-
-    BDCA and nmBDCA search from y = x + d, so their first trial step is 2,
-    which keeps the farthest probed point (at x + 3d) the same.
-    """
-    variant = Variant(variant)
-    from_y = variant in (Variant.BDCA, Variant.NMBDCA)
-    return SolverConfig(variant, lambda_bar=2.0 if from_y else 3.0)
+    """Experiment defaults: :class:`SolverConfig`'s own, farthest probe at
+    x + 3d (see :func:`first_trial_step`)."""
+    return SolverConfig(variant, lambda_bar=first_trial_step(variant, 3.0))
 
 
 # Starts solved together in one stack of lanes; bounds the working set
@@ -364,28 +360,37 @@ BASIN_BLOCK = 256
 def basin_experiment(n_points, seed, variant, cfg=None, points=None):
     """Solve from uniform random starts in [0,3]^2 and count the limits.
 
-    Points are drawn once from a counter-based generator keyed by ``seed``.
+    Points are drawn from a counter-based generator keyed by ``seed``, block
+    by block as the blocks are solved, so memory stays flat in ``n_points``.
     ``points`` overrides the drawing with explicit start coordinates (used
     by tests that need a start sitting exactly on an attractor).  The starts
     are solved in blocks of ``BASIN_BLOCK`` lanes that advance in lockstep;
     each lane ends where a single :func:`solve` from its start ends.
+    A ``cfg`` given must be for ``variant``.
     """
     if points is None:
         if n_points < 1:
             raise ValueError("n_points must be at least 1")
         rng = np.random.Generator(np.random.Philox(key=seed))
-        points = SAMPLE_LOW + (SAMPLE_HIGH - SAMPLE_LOW) * rng.random((n_points, 2))
+        blocks = (SAMPLE_LOW + (SAMPLE_HIGH - SAMPLE_LOW)
+                  * rng.random((min(BASIN_BLOCK, n_points - start), 2))
+                  for start in range(0, n_points, BASIN_BLOCK))
     else:
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         n_points = len(points)
+        blocks = (points[start:start + BASIN_BLOCK]
+                  for start in range(0, n_points, BASIN_BLOCK))
 
+    variant = Variant(variant)
     cfg = default_basin_config(variant) if cfg is None else cfg
+    if cfg.variant is not variant:
+        raise ValueError(f"cfg runs {cfg.variant.value}, not {variant.value}")
     model = ScadSeparableProblem()
     counts = dict.fromkeys(ATTRACTOR_LABELS + (OTHER_LABEL,), 0)
     outer = backtracks = failures = 0
     t0 = time.perf_counter()
-    for start in range(0, n_points, BASIN_BLOCK):
-        lanes = solve_lanes(model, points[start:start + BASIN_BLOCK], cfg)
+    for block in blocks:
+        lanes = solve_lanes(model, block, cfg)
         for point in lanes.final_points:
             counts[classify_attractor(point)] += 1
         outer += int(lanes.outer_iterations.sum())

@@ -150,8 +150,8 @@ def tv_prox(v, c, cfg=None, u0=None):
     relative change of u_hat; when max_inner_iter is reached first the best
     iterate comes back flagged ``converged=False``.
     """
-    if not c > 0.0:
-        raise ValueError("c must be positive")
+    if not 0.0 < 2.0 * c < math.inf:  # the step update forms 2*c*tau
+        raise ValueError("c must be positive, with 2c finite")
     cfg = PdConfig() if cfg is None else cfg
     v = np.asarray(v, dtype=float)
     u = v / c if u0 is None else np.array(u0, dtype=float, copy=True)

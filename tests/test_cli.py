@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dcboost
-from dcboost import Variant
+from dcboost import PdConfig, Variant
 from dcboost.cli import main
 from dcboost.toy_problems import default_basin_config
 
@@ -90,6 +90,14 @@ def test_toy_invalid_flags_exit_2():
     ["denoise", "--synthetic", "--size", "16x16", "--inner-max-iter", "0"],
     ["denoise", "--synthetic", "--size", "16x16", "--tol-direction", "nan"],
     ["basin", "--n", "10", "--alpha", "inf"],
+    ["basin", "--n", "10", "--seed", str(2 ** 128)],
+    ["toy", "--example", "scad", "--x0", "1e308,1e308"],
+    ["denoise", "--synthetic", "--size", "16x16", "--gamma", "1e200"],
+    ["denoise", "--synthetic", "--size", "16x16", "--gamma", "1e200",
+     "--c", "1"],
+    ["denoise", "--synthetic", "--size", "16x16", "--gamma", "1e-200"],
+    ["denoise", "--synthetic", "--size", "16x16", "--c", "1e308"],
+    ["denoise", "--synthetic", "--size", "16x16", "--mu", "1e308"],
 ])
 def test_bad_flag_values_exit_2_with_one_line(argv, tmp_path, capsys):
     code = main(argv + ["--out-dir", str(tmp_path)])
@@ -222,6 +230,9 @@ def test_denoise_protocol_defaults_resolved(denoise_run):
     assert flags["max_iter"] == 200
     assert flags["tol_rel_energy"] == 5e-4
     assert abs(flags["alpha"] - 0.9 * (1.83 - 15.0 / 9.0)) <= 1e-12
+    inner = PdConfig()
+    assert flags["inner_max_iter"] == inner.max_inner_iter
+    assert flags["inner_tol"] == inner.tol_inner
 
 
 def test_denoise_improves_metrics(denoise_run):

@@ -7,8 +7,8 @@ import pytest
 import oracles
 from dcboost import (QuadL1Problem, ScadSeparableProblem, SolverConfig,
                      Status, SubproblemError, Variant, bdca_line_search,
-                     ibdca_line_search, nmbdca_line_search, solve,
-                     write_trace_csv)
+                     ibdca_line_search, nmbdca_line_search, solve)
+from dcboost.cli import _TraceStream
 from dcboost.dc_core import DcModel, solve_lanes
 from dcboost.toy_problems import (quadl1_criticality_gap,
                                   scad_criticality_gap, scad_h_tilde_prime)
@@ -533,11 +533,19 @@ def test_variant_accepts_strings():
 # trace CSV export
 # ---------------------------------------------------------------------------
 
+def stream_trace(trace, path, aux_keys=()):
+    """Writes a finished trace through the CLI's streaming writer."""
+    stream = _TraceStream(path, aux_keys)
+    for rec in trace:
+        stream(rec)
+    stream.close()
+
+
 def test_trace_csv_round_trips_17_digits(tmp_path):
     model = QuadL1Problem()
     result = solve(model, np.array([0.5, 1.0]), ibdca_cfg())
     path = tmp_path / "trace.csv"
-    write_trace_csv(result.trace, path)
+    stream_trace(result.trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "k,phi,d_norm,lambda,backtracks,wall_time_s"
     assert len(lines) == 1 + len(result.trace)
@@ -582,7 +590,7 @@ def test_trace_csv_aux_columns(tmp_path):
     result = solve(model, np.array([0.5, 1.0]), ibdca_cfg())
     result.trace[0].aux["energy"] = 1.25
     path = tmp_path / "trace.csv"
-    write_trace_csv(result.trace, path, aux_keys=("energy",))
+    stream_trace(result.trace, path, aux_keys=("energy",))
     lines = path.read_text().splitlines()
     assert lines[0].endswith(",energy")
     assert float(lines[1].split(",")[-1]) == 1.25

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dcboost import imaging
 from dcboost import (NoiseSpec, PgmError, add_cauchy_noise,
                      make_squares_image, psnr, quantize_u8, re_err, read_pgm,
                      write_pgm)
@@ -38,6 +39,33 @@ def test_noise_scale_proportional_to_gamma():
 def test_negative_gamma_rejected():
     with pytest.raises(ValueError):
         NoiseSpec(gamma=-1.0, seed=0)
+
+
+def test_noise_redraws_denominators_below_guard(monkeypatch):
+    u = np.full((8, 8), 100.0)
+    spec = NoiseSpec(gamma=2.0, seed=5)
+    unforced = add_cauchy_noise(u, spec)
+    real = imaging._standard_normal_pair
+    # first draw: three denominators below the guard; first redraw: one more
+    forced = [{3: 0.0, 17: 1e-310, 40: -5e-301}, {1: 0.0}, {}]
+    draws = []
+
+    def pair(rng, n):
+        v1, v2 = real(rng, n)
+        for i, value in forced[len(draws)].items():
+            v2[i] = value
+        draws.append(v2)
+        return v1, v2
+
+    monkeypatch.setattr(imaging, "_standard_normal_pair", pair)
+    noisy = add_cauchy_noise(u, spec)
+    assert [len(v2) for v2 in draws] == [64, 3, 1]
+    assert np.all(np.abs(draws[0]) >= imaging.DENOM_GUARD)  # filled in place
+    assert np.all(np.isfinite(noisy))
+    untouched = np.ones(64, dtype=bool)
+    untouched[[3, 17, 40]] = False
+    assert np.array_equal(noisy.ravel()[untouched],
+                          unforced.ravel()[untouched])
 
 
 def test_quantized_noisy_psnr_band():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,39 @@ def test_basin_lanes_match_single_solves(variant, monkeypatch):
              split.linesearch_failures)
             == (whole.outer_iterations, whole.backtracks,
                 whole.linesearch_failures))
+
+
+def test_basin_block_draws_equal_one_draw():
+    # 700 starts: two full blocks of 256 and a partial one
+    rng = np.random.Generator(np.random.Philox(key=11))
+    points = 3.0 * rng.random((700, 2))
+    for variant in (Variant.DCA, Variant.BDCA):
+        drawn = basin_experiment(700, seed=11, variant=variant)
+        given = basin_experiment(0, seed=11, variant=variant, points=points)
+        assert drawn.counts == given.counts
+        assert ((drawn.outer_iterations, drawn.backtracks,
+                 drawn.linesearch_failures)
+                == (given.outer_iterations, given.backtracks,
+                    given.linesearch_failures))
+
+
+def test_basin_memory_flat_in_n():
+    def peak_bytes(n):
+        tracemalloc.start()
+        try:
+            basin_experiment(n, seed=3, variant=Variant.IBDCA)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # all 8192 starts at once would take 128 KiB, their temporary as much
+    assert peak_bytes(8192) <= peak_bytes(512) + 64 * 1024
+
+
+def test_basin_rejects_cfg_for_another_variant():
+    with pytest.raises(ValueError, match="cfg runs bdca, not dca"):
+        basin_experiment(10, seed=0, variant="dca",
+                         cfg=default_basin_config(Variant.BDCA))
 
 
 def test_import_loads_no_process_pool():
