@@ -2,14 +2,23 @@
 
 Every run writes a JSON manifest with its resolved flags and output paths
 beside the outputs, so results can be reproduced from the manifest alone.
-Exit codes: 0 success, 1 numerical failure or stdout closed by its reader,
-2 usage or input errors.
+
+Exit codes are decided in :func:`main` alone; the commands let the
+library's exceptions through.  0: success.  1: a numerical failure -- a
+:class:`SubproblemError`, ``toy`` stopping at its iteration cap, or
+``denoise`` ending on an unconverged inner solve -- or stdout closed by its
+reader.  2: a rejected input -- any ``ValueError``, ``ArithmeticError`` or
+``OSError``, which covers bad flag values, unreadable input files and an
+unwritable ``--out-dir`` (argparse exits 2 on malformed flags itself).  A
+solver failure or a rejected input prints one line, ``dcboost <command>:
+...``, to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+from contextlib import closing
 import json
 import math
 import os
@@ -22,9 +31,8 @@ from . import __version__
 from .dc_core import (SolverConfig, Status, SubproblemError, Variant,
                       first_trial_step, format_float, solve, trace_header,
                       trace_row)
-from .imaging import (NoiseSpec, PgmError, add_cauchy_noise,
-                      make_squares_image, psnr, quantize_u8, re_err, read_pgm,
-                      write_pgm)
+from .imaging import (NoiseSpec, add_cauchy_noise, make_squares_image, psnr,
+                      quantize_u8, re_err, read_pgm, write_pgm)
 from .toy_problems import (ATTRACTOR_LABELS, OTHER_LABEL, QuadL1Problem,
                            ScadSeparableProblem, basin_experiment,
                            default_basin_config, write_basin_csv)
@@ -36,29 +44,29 @@ DEFAULT_MU = {3.0: 15.0, 5.0: 20.0}
 DEFAULT_C = {(3.0, 15.0): 1.83, (5.0, 20.0): 1.10}
 
 
-class UsageError(Exception):
-    """A flag value or input file the command cannot use (exit 2)."""
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # overflow to inf/nan is caught by the finiteness checks, not warned
         with np.errstate(all="ignore"):
             code = args.func(args)
         sys.stdout.flush()
         return code
-    except UsageError as err:
-        print(f"dcboost {args.command}: {err}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it comes first
         # the reader closed stdout early (``| head -1``); send what is still
         # buffered to devnull so the exit-time flush cannot fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except SubproblemError as err:
+        print(f"dcboost {args.command}: solver failure: {err} "
+              f"(residual {err.residual:g})", file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError, OSError) as err:
+        # a rejected flag value, an unreadable input, an unwritable out-dir
+        print(f"dcboost {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 def build_parser():
@@ -69,7 +77,7 @@ def build_parser():
 
     toy = sub.add_parser("toy", help="run one solver on an analytic 2-D problem")
     toy.add_argument("--example", choices=("quadl1", "scad"), required=True)
-    toy.add_argument("--x0", type=_pair, required=True, metavar="U,V",
+    toy.add_argument("--x0", type=point, required=True, metavar="U,V",
                      help="starting point, e.g. 0.5,1")
     _add_variant_flag(toy)
     _add_solver_flags(toy)
@@ -93,7 +101,7 @@ def build_parser():
                      help="already-noisy observation (no clean reference)")
     src.add_argument("--clean", metavar="PGM",
                      help="clean image to which synthetic noise is added")
-    den.add_argument("--size", type=_size, default=(64, 64), metavar="M1xM2",
+    den.add_argument("--size", type=size, default=(64, 64), metavar="M1xM2",
                      help="synthetic image size (default 64x64)")
     den.add_argument("--gamma", type=float, default=3.0,
                      help="fidelity scale of the noise model (default 3)")
@@ -118,20 +126,15 @@ def build_parser():
     return parser
 
 
-def _pair(text):
-    try:
-        u, v = text.split(",")
-        return (float(u), float(v))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected U,V with numbers: {text!r}") from exc
+# argparse turns a ValueError here into "invalid <function name> value"
+def point(text):
+    u, v = text.split(",")
+    return (float(u), float(v))
 
 
-def _size(text):
-    try:
-        m1, m2 = text.lower().split("x")
-        return (int(m1), int(m2))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected M1xM2: {text!r}") from exc
+def size(text):
+    m1, m2 = text.lower().split("x")
+    return (int(m1), int(m2))
 
 
 def _add_variant_flag(p):
@@ -184,10 +187,7 @@ def _solver_config(args, defaults, flags=_SOLVER_FLAGS):
     """``defaults`` with the ``flags`` given on the command line."""
     given = {field: getattr(args, flag) for flag, field in flags.items()
              if getattr(args, flag) is not None}
-    try:
-        return dataclasses.replace(defaults, **given)
-    except ValueError as err:
-        raise UsageError(f"invalid solver settings: {err}") from None
+    return dataclasses.replace(defaults, **given)
 
 
 def _config_flags(cfg):
@@ -217,19 +217,25 @@ def _write_manifest(out_dir, command, flags, outputs, **extra):
 
 class _TraceStream:
     """Appends one CSV row per record as the solve progresses, so partial
-    traces survive an interrupted run."""
+    traces survive an interrupted run.  The file is created with the first
+    record: a start that ``solve`` rejects, or a subproblem failure before
+    any record, leaves no trace file."""
 
     def __init__(self, path, aux_keys=()):
+        self.path = path
         self.aux_keys = tuple(aux_keys)
-        self.fh = open(path, "w", newline="")
-        self.fh.write(trace_header(self.aux_keys) + "\n")
+        self.fh = None
 
     def __call__(self, rec):
+        if self.fh is None:
+            self.fh = open(self.path, "w", newline="")
+            self.fh.write(trace_header(self.aux_keys) + "\n")
         self.fh.write(trace_row(rec, self.aux_keys) + "\n")
         self.fh.flush()
 
     def close(self):
-        self.fh.close()
+        if self.fh is not None:
+            self.fh.close()
 
 
 def cmd_toy(args):
@@ -237,16 +243,8 @@ def cmd_toy(args):
     cfg = _solver_config(args, default_basin_config(args.variant))
     out_dir = _ensure_out_dir(args.out_dir)
     trace_path = out_dir / "toy_trace.csv"
-    stream = _TraceStream(trace_path)
-    try:
+    with closing(_TraceStream(trace_path)) as stream:
         result = solve(model, np.array(args.x0), cfg, on_record=stream)
-    except SubproblemError as err:
-        print(f"solver failure: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:  # x0 outside dom phi, or not finite
-        raise UsageError(str(err)) from None
-    finally:
-        stream.close()
 
     flags = {"example": args.example, "x0": list(args.x0),
              "out_dir": str(out_dir), **_config_flags(cfg)}
@@ -259,13 +257,8 @@ def cmd_toy(args):
 
 
 def cmd_basin(args):
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
     cfg = _solver_config(args, default_basin_config(args.variant))
-    try:
-        report = basin_experiment(args.n, args.seed, cfg.variant, cfg=cfg)
-    except ValueError as err:  # the seed is outside Philox's key range
-        raise UsageError(f"--seed {args.seed}: {err}") from None
+    report = basin_experiment(args.n, args.seed, cfg.variant, cfg=cfg)
 
     out_dir = _ensure_out_dir(args.out_dir)
     csv_path = out_dir / "basin_report.csv"
@@ -290,24 +283,17 @@ def cmd_basin(args):
 def cmd_denoise(args):
     gamma = args.gamma
     if gamma <= 0.0:
-        raise UsageError("--gamma must be positive")
+        raise ValueError("--gamma must be positive")
+    if not 0.0 < gamma * gamma < math.inf:  # else gamma ** 2 below fails
+        raise ValueError(f"--gamma {gamma:g} is out of range")
     mu = args.mu if args.mu is not None else DEFAULT_MU.get(gamma, 15.0)
     noise_gamma = args.noise_gamma if args.noise_gamma is not None else gamma
 
-    try:
-        clean, noisy, source = _load_observation(args, noise_gamma)
-    except (PgmError, OSError, ValueError) as err:
-        raise UsageError(f"cannot build observation: {err}") from None
-
+    clean, noisy, source = _load_observation(args, noise_gamma)
     inner = _solver_config(args, PdConfig(), _INNER_FLAGS)
-    try:
-        c = args.c if args.c is not None else DEFAULT_C.get(
-            (gamma, mu), 1.1 * mu / gamma ** 2)
-        model = CauchyModel(noisy, mu, gamma, c, inner)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-    except ArithmeticError:  # gamma**2 overflows or underflows to 0
-        raise UsageError(f"--gamma {gamma:g} is out of range") from None
+    c = args.c if args.c is not None else DEFAULT_C.get(
+        (gamma, mu), 1.1 * mu / gamma ** 2)
+    model = CauchyModel(noisy, mu, gamma, c, inner)
 
     cfg = _solver_config(args, _denoise_defaults(args.variant, model.rho))
 
@@ -323,16 +309,8 @@ def cmd_denoise(args):
         rec.aux["psnr"] = psnr(rec.x, clean) if clean is not None else math.nan
         stream(rec)
 
-    try:
+    with closing(stream):
         result = solve(model, noisy, cfg, on_record=on_record)  # u0 = f
-    except SubproblemError as err:
-        print(f"inner solver failure: {err} (residual {err.residual:g})",
-              file=sys.stderr)
-        return 1
-    except ValueError as err:  # phi(f) is not finite, or c too large
-        raise UsageError(str(err)) from None
-    finally:
-        stream.close()
     outputs["trace"] = trace_path
     restored_q = quantize_u8(result.final_point)
     restored_path = out_dir / "restored.pgm"
@@ -358,9 +336,10 @@ def cmd_denoise(args):
         summary["psnr_restored"] = psnr(restored_q, clean)
         summary["re_err_noisy"] = re_err(noisy, clean)
         summary["re_err_restored"] = re_err(restored_q, clean)
-    last_aux = result.trace[-1].aux if result.trace else {}
-    inner_ok = last_aux.get("inner_converged", 1.0) != 0.0
-    summary["inner_converged_final"] = bool(inner_ok)
+    unconverged = [rec.aux.get("inner_converged", 1.0) == 0.0
+                   for rec in result.trace]
+    summary["inner_unconverged"] = sum(unconverged)
+    summary["inner_converged_final"] = inner_ok = not any(unconverged[-1:])
     metrics_path = out_dir / "denoise_metrics.json"
     metrics_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     outputs["metrics"] = metrics_path
@@ -397,13 +376,8 @@ def _load_observation(args, noise_gamma):
 
 
 def cmd_metrics(args):
-    try:
-        a = read_pgm(args.a)
-        b = read_pgm(args.b)
-    except (PgmError, OSError) as err:
-        raise UsageError(str(err)) from None
-    if a.shape != b.shape:
-        raise UsageError(f"shape mismatch: {a.shape} vs {b.shape}")
+    a = read_pgm(args.a)
+    b = read_pgm(args.b)
     print(f"psnr_db={format_float(psnr(a, b))}")
     print(f"re_err={format_float(re_err(a, b))}")
     return 0

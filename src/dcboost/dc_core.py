@@ -25,7 +25,6 @@ with every rule written once over the lanes; :func:`solve` is one lane.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from abc import ABC, abstractmethod
@@ -250,28 +249,20 @@ def _rows(A, lanes):
 # Small problems then walk a whole ladder in one call; large ones walk it one
 # rung at a time, so no phi is spent on rungs below an accepted one.
 _TRIAL_BUDGET = 4096
+# Rungs formed at a time; the default ladder (60 rungs) is one segment.
+_LADDER_SEGMENT = 64
 
 
-@functools.lru_cache(maxsize=16)
-def _ladder(lambda_bar, beta, rungs):
-    """The trial steps lambda_bar * beta^j, j < rungs, formed by repeated
-    multiplication (read-only: the array is shared)."""
-    steps, lam = [], lambda_bar
-    for _ in range(rungs):
-        steps.append(lam)
-        lam *= beta
-    ladder = np.array(steps)
-    ladder.flags.writeable = False
-    return ladder
-
-
-def _backtrack(model, base, D, ladder, limit, bound, fallback):
+def _backtrack(model, base, D, cfg, floor, bound, fallback):
     """Backtracking line search on every lane at once.
 
-    Lane i tries the rungs ``ladder[:limit[i]]`` in order and accepts the
-    first whose trial value phi(base + lam*d) is at most
-    ``bound(lanes, lam)``; a lane that accepts none ends with lam =
-    ``fallback`` and ``limit[i]`` backtracks.  Several rungs may share one
+    Lane i walks the rungs lam = lambda_bar * beta^j, formed by repeated
+    multiplication, for j < max_backtracks while lam is not below
+    ``floor[i]``, and accepts the first whose trial value phi(base + lam*d)
+    is at most ``bound(lanes, lam)``; a lane that accepts none ends with
+    lam = ``fallback`` and one backtrack per rung it was allowed.  Rungs are
+    formed a segment at a time as the walk reaches them, so memory does
+    not grow with max_backtracks.  Several rungs may share one
     :meth:`DcModel.phi_lanes` call; since a lane still takes its first
     accepted rung, the outcome is that of a rung-by-rung walk.  Returns
     ``(lam, backtracks, points, values)``; the accepted trial points and
@@ -279,17 +270,34 @@ def _backtrack(model, base, D, ladder, limit, bound, fallback):
     """
     n = len(base)
     lam_out = np.full(n, fallback)
-    bt_out = limit.copy()
+    bt_out = np.zeros(n, dtype=int)
     points = np.empty_like(base)
     values = np.empty(n)
-    lanes = np.flatnonzero(limit > 0)
+    lanes = np.arange(n)
     point_shape = base.shape[1:]
-    j = 0
+    j = top = 0
+    next_lam = cfg.lambda_bar
     while lanes.size:
-        lane_limit = _rows(limit, lanes)
+        if j == top:
+            # rungs j .. top-1, and rung top unless the ladder ends there:
+            # it tells the lanes that go on
+            ladder = np.full(min(_LADDER_SEGMENT + 1, cfg.max_backtracks - j),
+                             cfg.beta)
+            ladder[0] = next_lam
+            np.multiply.accumulate(ladder, out=ladder)
+            bottom, top = j, j + min(_LADDER_SEGMENT, len(ladder))
+            next_lam = ladder[-1]
+            # a walking lane's bt_out holds its limit, the index past its
+            # last rung not below its floor; a lane that accepts no rung
+            # keeps it as its backtrack count
+            bt_out[lanes] = j + np.searchsorted(-ladder, -_rows(floor, lanes),
+                                                side="right")
+            lanes = lanes[bt_out[lanes] > j]
+            continue
+        lane_limit = _rows(bt_out, lanes)
         rungs = min(max(1, _TRIAL_BUDGET // (lanes.size * base[0].size)),
-                    int(lane_limit.max()) - j)
-        lam = ladder[j:j + rungs, None]
+                    int(lane_limit.max()) - j, top - j)
+        lam = ladder[j - bottom:j - bottom + rungs, None]
         trial = (_rows(base, lanes)
                  + lam.reshape(lam.shape + (1,) * len(point_shape))
                  * _rows(D, lanes))
@@ -303,7 +311,7 @@ def _backtrack(model, base, D, ladder, limit, bound, fallback):
         if hit.any():
             rung, col = first[hit], cols[hit]
             done = lanes[hit]
-            lam_out[done] = ladder[j + rung]
+            lam_out[done] = lam[rung, 0]
             bt_out[done] = j + rung
             points[done] = trial[rung, col]
             values[done] = got[rung, col]
@@ -315,10 +323,8 @@ def _backtrack(model, base, D, ladder, limit, bound, fallback):
 def _ibdca_lanes(model, X, D, dsq, phi_x, phi_y, cfg):
     # both acceptance conditions at once: trial <= min(decrease, phi(y));
     # rungs <= 1 are never tried, the step clamps to 1
-    ladder = _ladder(cfg.lambda_bar, cfg.beta, cfg.max_backtracks)
-    limit = np.full(len(X), np.count_nonzero(ladder > 1.0))
     return _backtrack(
-        model, X, D, ladder, limit,
+        model, X, D, cfg, np.full(len(X), np.nextafter(1.0, 2.0)),
         bound=lambda i, lam: np.minimum(
             _rows(phi_x, i) - cfg.alpha * lam * _rows(dsq, i),
             _rows(phi_y, i)),
@@ -336,11 +342,8 @@ def _armijo_floor(phi_y, alpha, dsq):
 def _armijo_lanes(model, Y, D, dsq, phi_y, allowance, cfg):
     # BDCA's test when allowance is 0, nmBDCA's with ||d||^2/(k+1); rungs
     # below the Armijo floor are never tried
-    ladder = _ladder(cfg.lambda_bar, cfg.beta, cfg.max_backtracks)
-    floor = _armijo_floor(phi_y, cfg.alpha, dsq)
-    limit = np.searchsorted(-ladder, -floor, side="right")
     return _backtrack(
-        model, Y, D, ladder, limit,
+        model, Y, D, cfg, _armijo_floor(phi_y, cfg.alpha, dsq),
         bound=lambda i, lam: (_rows(phi_y, i)
                               - cfg.alpha * lam * _rows(dsq, i)
                               + _rows(allowance, i)),

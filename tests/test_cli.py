@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dcboost
-from dcboost import PdConfig, Variant
+from dcboost import CauchyModel, PdConfig, QuadL1Problem, Variant
 from dcboost.cli import main
 from dcboost.toy_problems import default_basin_config
 
@@ -98,6 +98,7 @@ def test_toy_invalid_flags_exit_2():
     ["denoise", "--synthetic", "--size", "16x16", "--gamma", "1e-200"],
     ["denoise", "--synthetic", "--size", "16x16", "--c", "1e308"],
     ["denoise", "--synthetic", "--size", "16x16", "--mu", "1e308"],
+    ["basin", "--n", "0"],
 ])
 def test_bad_flag_values_exit_2_with_one_line(argv, tmp_path, capsys):
     code = main(argv + ["--out-dir", str(tmp_path)])
@@ -107,6 +108,51 @@ def test_bad_flag_values_exit_2_with_one_line(argv, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"dcboost {argv[0]}: ")
+    assert not list(tmp_path.glob("*_trace.csv"))  # no header-only trace
+
+
+@pytest.mark.parametrize("gamma", ["1e200", "1e-200"])
+def test_out_of_range_gamma_is_named(gamma, tmp_path, capsys):
+    assert main(["denoise", "--synthetic", "--size", "16x16",
+                 "--gamma", gamma, "--out-dir", str(tmp_path)]) == 2
+    assert "--gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["toy", "--example", "scad", "--x0", "2.2,0.4"],
+    ["basin", "--n", "5"],
+    ["denoise", "--synthetic", "--size", "16x16", "--max-iter", "2"],
+])
+@pytest.mark.parametrize("below", [False, True])
+def test_unwritable_out_dir_exits_2_with_one_line(argv, below, tmp_path,
+                                                  capsys):
+    # --out-dir names an existing file, or a path under one
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "sub" if below else blocker
+    code = main(argv + ["--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"dcboost {argv[0]}: ")
+
+
+@pytest.mark.parametrize("argv, model", [
+    (["toy", "--example", "quadl1", "--x0", "0.5,1"], QuadL1Problem),
+    (["denoise", "--synthetic", "--size", "16x16"], CauchyModel),
+])
+def test_subproblem_failure_exits_1_with_one_line(argv, model, tmp_path,
+                                                  capsys, monkeypatch):
+    monkeypatch.setattr(model, "solve_subproblem_with_info",
+                        lambda self, x: (np.full_like(x, math.nan), {}))
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    assert lines[0].startswith(f"dcboost {argv[0]}: solver failure: ")
+    assert not list(tmp_path.glob("*_manifest.json"))
+    assert not list(tmp_path.glob("*_trace.csv"))  # failed before a record
 
 
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
@@ -327,6 +373,10 @@ def test_denoise_inner_nonconvergence_exit_1(tmp_path, capsys):
     assert code == 1
     summary = json.loads((tmp_path / "denoise_metrics.json").read_text())
     assert summary["inner_converged_final"] is False
+    # every record's inner solve stopped at its cap
+    assert summary["inner_unconverged"] == summary["outer_iterations"]
+    printed = capsys.readouterr().out
+    assert f"inner_unconverged={summary['outer_iterations']}" in printed
 
 
 def test_denoise_rejects_bad_c(tmp_path, capsys):

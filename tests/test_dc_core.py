@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -278,6 +279,51 @@ def test_nmbdca_accepted_step_respects_documented_inequality():
                                                   + allowance + 1e-12)
                 checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("max_backtracks", [200, 1000])
+def test_ibdca_long_walk_matches_rung_by_rung_oracle(max_backtracks):
+    # on this quadratic phi(x + lam*d) <= phi(y) only for lam <= 2, which
+    # lambda_bar 100 and beta 0.99 reach after ~390 rungs, so the walk
+    # forms the ladder in several pieces (and is cut short at 200)
+    model = QuadraticModel()
+    cfg = SolverConfig(variant=Variant.IBDCA, alpha=0.2, beta=0.99,
+                       lambda_bar=100.0, max_backtracks=max_backtracks)
+    x = np.array([1.0, -2.0])
+    y, d = linearized_step(model, x)
+
+    expected, lam, j = None, cfg.lambda_bar, 0
+    while expected is None and lam > 1.0 and j < max_backtracks:
+        val = model.phi(x + lam * d)
+        if (val <= model.phi(x) - 0.2 * lam * np.vdot(d, d)
+                and val <= model.phi(y)):
+            expected = (lam, j)
+        lam *= 0.99
+        j += 1
+    if expected is None:
+        expected = (1.0, j)
+    assert ibdca_line_search(model, x, y, d, cfg) == expected
+    assert expected[1] > 100
+
+
+def test_line_search_memory_flat_in_max_backtracks():
+    # the ladder is formed as the walk reaches it, not max_backtracks deep;
+    # this solve walks some 190 rungs in all
+    def run(max_backtracks):
+        cfg = SolverConfig(variant=Variant.BDCA, max_backtracks=max_backtracks)
+        tracemalloc.start()
+        try:
+            result = solve(ScadSeparableProblem(), np.array([2.2, 0.4]), cfg)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    shallow, shallow_peak = run(10 ** 3)
+    deep, deep_peak = run(10 ** 6)
+    assert deep_peak <= shallow_peak + 64 * 1024
+    assert np.array_equal(deep.final_point, shallow.final_point)
+    assert ([r.backtracks for r in deep.trace]
+            == [r.backtracks for r in shallow.trace])
 
 
 # ---------------------------------------------------------------------------
