@@ -11,8 +11,7 @@ from .imaging import (NoiseSpec, PgmError, add_cauchy_noise,
                       write_pgm)
 from .toy_problems import (BasinReport, QuadL1Problem, ScadSeparableProblem,
                            basin_experiment, classify_attractor,
-                           quadl1_subproblem, scad_phi_tilde,
-                           scad_subproblem_1d, write_basin_csv)
+                           quadl1_subproblem, write_basin_csv)
 from .tv_cauchy import (CauchyModel, GradientField, PdConfig, TvProxResult,
                         div, energy, grad, grad_h_cauchy, tv, tv_prox)
 
@@ -24,7 +23,6 @@ __all__ = [
     "basin_experiment", "bdca_line_search", "classify_attractor", "div",
     "energy", "grad", "grad_h_cauchy", "ibdca_line_search",
     "make_squares_image", "nmbdca_line_search", "psnr", "quadl1_subproblem",
-    "quantize_u8", "re_err", "read_pgm", "scad_phi_tilde",
-    "scad_subproblem_1d", "solve", "tv", "tv_prox", "write_basin_csv",
-    "write_pgm",
+    "quantize_u8", "re_err", "read_pgm", "solve", "tv", "tv_prox",
+    "write_basin_csv", "write_pgm",
 ]

@@ -345,7 +345,7 @@ def cmd_denoise(args):
     outputs["metrics"] = metrics_path
 
     flags = {
-        "source": source, "size": list(args.size), "gamma": gamma,
+        "source": source, "size": list(noisy.shape), "gamma": gamma,
         "noise_gamma": noise_gamma, "seed": args.seed, "mu": mu, "c": c,
         "inner_max_iter": inner.max_inner_iter, "inner_tol": inner.tol_inner,
         "out_dir": str(out_dir), **_config_flags(cfg),

@@ -26,6 +26,7 @@ with every rule written once over the lanes; :func:`solve` is one lane.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -148,7 +149,7 @@ class SolverConfig:
     when ``||d|| <= tol_direction`` (critical point), when the relative
     objective change drops to ``tol_rel_energy`` (disabled when <= 0), or
     after ``max_outer_iter`` iterations.  Every float setting must be
-    finite.
+    finite and every count an integer.
     """
 
     variant: Variant = Variant.IBDCA
@@ -165,18 +166,18 @@ class SolverConfig:
         for name in ("alpha", "lambda_bar", "tol_direction", "tol_rel_energy"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("max_outer_iter", "max_backtracks"):
+            count = getattr(self, name)
+            if not (isinstance(count, numbers.Integral) and count >= 1):
+                raise ValueError(f"{name} must be an integer, at least 1")
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie strictly between 0 and 1")
         if not self.lambda_bar > 1.0:
             raise ValueError("lambda_bar must exceed 1")
-        if self.max_outer_iter < 1:
-            raise ValueError("max_outer_iter must be at least 1")
         if self.tol_direction < 0.0:
             raise ValueError("tol_direction must be nonnegative")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
 
 
 def first_trial_step(variant, reach):
@@ -533,10 +534,12 @@ def solve(model, x0, cfg, on_record=None):
 
     This is :func:`solve_lanes` with one lane.  Per iteration the subproblem
     is solved once; the trace gets one record per iteration holding the
-    iterate at its start and the accepted step.  Critical-point stops append
-    a final record with lam = 0.  For DCA and IBDCA the phi column of the
-    trace is nonincreasing; violations beyond 1e-8 relative (possible only
-    through inexact subproblems) are counted in ``monotone_violations``.
+    iterate at its start and the accepted step.  For DCA and IBDCA the phi
+    column of the trace is nonincreasing; violations beyond 1e-8 relative
+    (possible only through inexact subproblems) are counted in
+    ``monotone_violations``.  A critical-point stop appends a final record
+    with lam = 0 and returns x with ``||y - x|| <= tol_direction``; the
+    criticality certificate holds at y = solve_subproblem(x), not at x.
 
     ``on_record`` is called with each record as it is produced, which lets
     callers stream trace rows to disk so partial results survive an

@@ -28,14 +28,7 @@ __all__ = [
     "basin_experiment",
     "classify_attractor",
     "default_basin_config",
-    "quadl1_criticality_gap",
     "quadl1_subproblem",
-    "scad_criticality_gap",
-    "scad_g_tilde",
-    "scad_h_tilde",
-    "scad_h_tilde_prime",
-    "scad_phi_tilde",
-    "scad_subproblem_1d",
     "write_basin_csv",
 ]
 
@@ -66,19 +59,12 @@ class QuadL1Problem(DcModel):
     g is 2-strongly convex, h is 1-strongly convex; the shared modulus is 1.
     The global minimizer is (3/2, 0) with value -9/8.  The DCA direction at
     (1, 0) ascends through the |v| kink, which makes this the canonical case
-    where a line search started at y fails.
+    where a line search started at y fails.  g, h and the criticality gap
+    are evaluated only by the test oracles (``tests/oracles.py``).
     """
 
     dim = 2
     rho = 1.0
-
-    def eval_g(self, x):
-        u, v = float(x[0]), float(x[1])
-        return -2.5 * u + u * u + v * v + abs(u) + abs(v)
-
-    def eval_h(self, x):
-        u, v = float(x[0]), float(x[1])
-        return 0.5 * (u * u + v * v)
 
     def phi(self, x):
         u, v = float(x[0]), float(x[1])
@@ -88,107 +74,14 @@ class QuadL1Problem(DcModel):
         return quadl1_subproblem(x)
 
 
-def quadl1_criticality_gap(x):
-    """Distance from grad_h(x) to the subdifferential of g at x.
-
-    Zero exactly at critical points; a test certificate, not solve's stop.
-    """
-    u, v = float(x[0]), float(x[1])
-    if u != 0.0:
-        gap_u = abs(u - (-2.5 + 2.0 * u + math.copysign(1.0, u)))
-    else:
-        gap_u = _dist_to_interval(u, -3.5, -1.5)
-    if v != 0.0:
-        gap_v = abs(v - (2.0 * v + math.copysign(1.0, v)))
-    else:
-        gap_v = _dist_to_interval(v, -1.0, 1.0)
-    return max(gap_u, gap_v)
-
-
-def _dist_to_interval(w, lo, hi):
-    if w < lo:
-        return lo - w
-    if w > hi:
-        return w - hi
-    return 0.0
-
-
 # ---------------------------------------------------------------------------
 # SCAD-shaped separable problem
 # ---------------------------------------------------------------------------
 
-def scad_g_tilde(u):
-    """Convex part per coordinate: |u| + u^2/5, plus (|u|-2)^2 beyond |u|=2."""
-    a = abs(u)
-    if a < 2.0:
-        return a + u * u / 5.0
-    return a + (a - 2.0) ** 2 + u * u / 5.0
-
-
-def scad_h_tilde(u):
-    """Smooth part per coordinate, C^1 across the breakpoints |u| in {1, 2}."""
-    a = abs(u)
-    if a <= 1.0:
-        return u * u / 5.0
-    if a < 2.0:
-        return (u * u - 2.0 * a + 1.0) / 2.0 + u * u / 5.0
-    return a - 1.5 + u * u / 5.0
-
-
-def scad_h_tilde_prime(u):
-    a = abs(u)
-    if a <= 1.0:
-        return 0.4 * u
-    if a < 2.0:
-        return u - math.copysign(1.0, u) + 0.4 * u
-    return math.copysign(1.0, u) + 0.4 * u
-
-
-def scad_phi_tilde(u):
-    """The per-coordinate objective g~ - h~ in closed form.
-
-    |u| on [-1,1], then |u| - (|u|-1)^2/2, then (|u|-2)^2 + 3/2 beyond 2:
-    the SCAD shape with quadratic growth.  Nonnegative, zero only at 0;
-    stationary also at |u| = 2, which is not a local minimum.
-    """
-    a = abs(u)
-    if a <= 1.0:
-        return a
-    if a < 2.0:
-        return a - (a - 1.0) ** 2 / 2.0
-    return (a - 2.0) ** 2 + 1.5
-
-
-def scad_subproblem_1d(w):
-    """Unique minimizer of scad_g_tilde(t) - w*t.
-
-    Candidates are the stationary point of each smooth branch (kept when it
-    falls inside its interval) plus the breakpoints {-2, 0, 2}; strong
-    convexity makes the best candidate the global minimizer.
-    """
-    w = float(w)
-    candidates = [-2.0, 0.0, 2.0]
-    t = 2.5 * (w - 1.0)            # branch (0, 2):    1 + 2t/5 = w
-    if 0.0 < t < 2.0:
-        candidates.append(t)
-    t = 5.0 * (w + 3.0) / 12.0     # branch [2, inf):  1 + 2(t-2) + 2t/5 = w
-    if t >= 2.0:
-        candidates.append(t)
-    t = 2.5 * (w + 1.0)            # branch (-2, 0):  -1 + 2t/5 = w
-    if -2.0 < t < 0.0:
-        candidates.append(t)
-    t = 5.0 * (w - 3.0) / 12.0     # branch (-inf,-2]: -1 + 2(t+2) + 2t/5 = w
-    if t <= -2.0:
-        candidates.append(t)
-    return min(candidates, key=lambda s: scad_g_tilde(s) - w * s)
-
-
-# Elementwise versions of the closed forms above, for whole stacks of lanes.
-# Each branch repeats the scalar arithmetic operation for operation, so every
-# entry is bitwise what the scalar function returns: squares go through
-# float_power, which calls the same libm pow as Python's ``**`` (x*x can
-# differ in the last bit), and sums are reordered only where IEEE addition
-# commutes.  The branches are formed in place to keep the working set small.
+# The closed forms of g~, h~' and phi~ = g~ - h~ per coordinate, over stacks
+# of lanes, bitwise equal to the scalar references in tests/oracles.py:
+# squares go through float_power, the libm pow of Python's ``**`` (x*x can
+# differ in the last bit).  Branches are formed in place to save memory.
 
 def _square(x, where):
     # only the entries the branch keeps: pow costs far more than x*x
@@ -196,6 +89,8 @@ def _square(x, where):
 
 
 def _scad_phi_tilde_lanes(u):
+    """phi~: |u| on [-1,1], then |u| - (|u|-1)^2/2, then (|u|-2)^2 + 3/2
+    beyond 2: the SCAD shape with quadratic growth."""
     a = np.abs(u)
     inner, outer = a <= 1.0, a >= 2.0
     out = _square(a - 2.0, outer)
@@ -232,12 +127,16 @@ def _scad_h_tilde_prime_lanes(u):
     return out
 
 
+# g~ at its breakpoints -2, 0, 2, the subproblem's fixed candidates
+_G_AT_BREAKPOINTS = _scad_g_tilde_lanes(np.array([-2.0, 0.0, 2.0])).tolist()
+
+
 def _scad_subproblem_lanes(w):
-    """:func:`scad_subproblem_1d` elementwise.  The candidates come in the
-    scalar order and one replaces the best only when strictly smaller, which
-    keeps ``min``'s first-wins choice on ties."""
+    """argmin_t g~(t) - w*t elementwise: the best of the breakpoints and of
+    the branches' stationary points inside their intervals.  A candidate
+    must be strictly smaller to replace the best: ties go to the first."""
     best = np.full_like(w, -2.0)
-    best_val = scad_g_tilde(-2.0) - w * -2.0
+    best_val = _G_AT_BREAKPOINTS[0] - w * -2.0
 
     def offer(t, val, valid=True):
         better = val < best_val
@@ -245,36 +144,37 @@ def _scad_subproblem_lanes(w):
         np.copyto(best, t, where=better)
         np.copyto(best_val, val, where=better)
 
-    for c in (0.0, 2.0):
-        offer(c, scad_g_tilde(c) - w * c)
-    t = 2.5 * (w - 1.0)              # branch (0, 2)
+    for c, g_c in zip((0.0, 2.0), _G_AT_BREAKPOINTS[1:]):
+        offer(c, g_c - w * c)
+    t = 2.5 * (w - 1.0)              # (0, 2):       1 + 2t/5 = w
     offer(t, _scad_g_tilde_lanes(t) - w * t, (0.0 < t) & (t < 2.0))
-    t = 5.0 * (w + 3.0) / 12.0       # branch [2, inf)
+    t = 5.0 * (w + 3.0) / 12.0       # [2, inf):     1 + 2(t-2) + 2t/5 = w
     offer(t, _scad_g_tilde_lanes(t) - w * t, t >= 2.0)
-    t = 2.5 * (w + 1.0)              # branch (-2, 0)
+    t = 2.5 * (w + 1.0)              # (-2, 0):     -1 + 2t/5 = w
     offer(t, _scad_g_tilde_lanes(t) - w * t, (-2.0 < t) & (t < 0.0))
-    t = 5.0 * (w - 3.0) / 12.0       # branch (-inf, -2]
+    t = 5.0 * (w - 3.0) / 12.0       # (-inf, -2]:  -1 + 2(t+2) + 2t/5 = w
     offer(t, _scad_g_tilde_lanes(t) - w * t, t <= -2.0)
     return best
 
 
 class ScadSeparableProblem(DcModel):
-    """phi(u, v) = scad_phi_tilde(u) + scad_phi_tilde(v).
+    """phi(u, v) = phi~(u) + phi~(v), split per coordinate as g~ - h~.
 
     Critical points have each coordinate in {-2, 0, 2}; on the sampling box
     [0,3]^2 the four reachable ones are {0, 2}^2 and only (0, 0) is the
     global minimum.  Both parts carry the u^2/5 quadratic, so rho = 2/5.
+    The closed forms exist once, in lane form: phi and solve_subproblem are
+    one-lane calls of phi_lanes and subproblem_lanes.
     """
 
     dim = 2
     rho = 0.4
 
     def phi(self, x):
-        return scad_phi_tilde(float(x[0])) + scad_phi_tilde(float(x[1]))
+        return float(self.phi_lanes(np.asarray(x, dtype=float)[None])[0])
 
     def solve_subproblem(self, x):
-        return np.array([scad_subproblem_1d(scad_h_tilde_prime(float(x[0]))),
-                         scad_subproblem_1d(scad_h_tilde_prime(float(x[1])))])
+        return self.subproblem_lanes(np.asarray(x, dtype=float)[None])[0][0]
 
     def phi_lanes(self, X):
         per_coord = _scad_phi_tilde_lanes(X)
@@ -283,26 +183,6 @@ class ScadSeparableProblem(DcModel):
     def subproblem_lanes(self, X):
         Y = _scad_subproblem_lanes(_scad_h_tilde_prime_lanes(X))
         return Y, [{}] * len(X)
-
-
-def _scad_g_tilde_prime(t):
-    # single-valued away from 0; g~ is smooth at |t| = 2
-    d = math.copysign(1.0, t) + 0.4 * t
-    if abs(t) >= 2.0:
-        d += 2.0 * (abs(t) - 2.0) * math.copysign(1.0, t)
-    return d
-
-
-def scad_criticality_gap(x):
-    """Distance from grad_h(x) to the subdifferential of g at x."""
-    gap = 0.0
-    for t in (float(x[0]), float(x[1])):
-        w = scad_h_tilde_prime(t)
-        if t != 0.0:
-            gap = max(gap, abs(w - _scad_g_tilde_prime(t)))
-        else:
-            gap = max(gap, _dist_to_interval(w, -1.0, 1.0))
-    return gap
 
 
 # ---------------------------------------------------------------------------

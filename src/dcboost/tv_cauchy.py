@@ -13,6 +13,7 @@ primal-dual loop (:func:`tv_prox`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +30,6 @@ __all__ = [
     "energy",
     "grad",
     "grad_h_cauchy",
-    "smooth_part_second_derivative",
     "tv",
     "tv_prox",
 ]
@@ -100,16 +100,6 @@ def grad_h_cauchy(u, model):
     return model.c * u - model.mu * r / (model.gamma ** 2 + r * r)
 
 
-def smooth_part_second_derivative(t, mu, gamma, c):
-    """Scalar d^2/dt^2 of -(mu/2) log(gamma^2 + t^2) + (c/2) t^2.
-
-    Nonnegative everywhere iff c >= mu/gamma^2 (the minimum sits at t = 0).
-    """
-    t = np.asarray(t, dtype=float)
-    g2 = gamma * gamma
-    return mu * (t * t - g2) / (g2 + t * t) ** 2 + c
-
-
 @dataclass
 class PdConfig:
     """Inner primal-dual solver settings; the stop is on relative primal
@@ -119,8 +109,9 @@ class PdConfig:
     tol_inner: float = 1e-5
 
     def __post_init__(self):
-        if self.max_inner_iter < 1:
-            raise ValueError("max_inner_iter must be at least 1")
+        if not (isinstance(self.max_inner_iter, numbers.Integral)
+                and self.max_inner_iter >= 1):
+            raise ValueError("max_inner_iter must be an integer, at least 1")
         if not self.tol_inner > 0.0:
             raise ValueError("tol_inner must be positive")
 
@@ -222,16 +213,6 @@ class CauchyModel(DcModel):
         self.inner = PdConfig() if inner is None else inner
         self.dim = f.size
         self.rho = self.c - self.mu / self.gamma ** 2
-
-    def eval_g(self, u):
-        u = np.asarray(u, dtype=float)
-        return tv(u) + 0.5 * self.c * float(np.vdot(u, u))
-
-    def eval_h(self, u):
-        u = np.asarray(u, dtype=float)
-        r = u - self.f
-        return (-0.5 * self.mu * float(np.log(self.gamma ** 2 + r * r).sum())
-                + 0.5 * self.c * float(np.vdot(u, u)))
 
     def phi(self, u):
         # direct form of g - h; avoids the cancelling (c/2)||u||^2 terms

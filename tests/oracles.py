@@ -5,11 +5,20 @@ central finite differences, and an accelerated projected-gradient method on
 the dual of the TV prox.  None of these share code with the solver paths
 they check (the grid oracles even re-state the piecewise formulas), so each
 test compares two independent routes to the same quantity.
+
+The library writes each SCAD closed form once, elementwise over stacks of
+lanes.  The scalar references below state the same forms branch by branch
+in plain Python; the lane forms must match them bit for bit.  The g and h
+evaluators of both model families, the second derivative of the Cauchy
+smooth part and the criticality gaps dist(grad_h(x), subdiff g(x)) are
+test oracles too: the solvers never need them.
 """
+
+import math
 
 import numpy as np
 
-from dcboost.tv_cauchy import div, grad
+from dcboost.tv_cauchy import div, grad, tv
 
 
 def grid_argmin(fun, lo, hi, coarse=1e-3, fine=1e-6):
@@ -102,3 +111,162 @@ def tv_value(u):
 
 def tv_prox_objective(u, v, c):
     return tv_value(u) + 0.5 * c * float(np.vdot(u, u)) - float(np.vdot(v, u))
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the SCAD closed forms
+# ---------------------------------------------------------------------------
+
+def scad_g_tilde(u):
+    """Convex part per coordinate: |u| + u^2/5, plus (|u|-2)^2 beyond |u|=2."""
+    a = abs(u)
+    if a < 2.0:
+        return a + u * u / 5.0
+    return a + (a - 2.0) ** 2 + u * u / 5.0
+
+
+def scad_h_tilde(u):
+    """Smooth part per coordinate, C^1 across the breakpoints |u| in {1, 2}."""
+    a = abs(u)
+    if a <= 1.0:
+        return u * u / 5.0
+    if a < 2.0:
+        return (u * u - 2.0 * a + 1.0) / 2.0 + u * u / 5.0
+    return a - 1.5 + u * u / 5.0
+
+
+def scad_h_tilde_prime(u):
+    a = abs(u)
+    if a <= 1.0:
+        return 0.4 * u
+    if a < 2.0:
+        return u - math.copysign(1.0, u) + 0.4 * u
+    return math.copysign(1.0, u) + 0.4 * u
+
+
+def scad_phi_tilde(u):
+    """The per-coordinate objective g~ - h~ in closed form.
+
+    |u| on [-1,1], then |u| - (|u|-1)^2/2, then (|u|-2)^2 + 3/2 beyond 2:
+    the SCAD shape with quadratic growth.  Nonnegative, zero only at 0;
+    stationary also at |u| = 2, which is not a local minimum.
+    """
+    a = abs(u)
+    if a <= 1.0:
+        return a
+    if a < 2.0:
+        return a - (a - 1.0) ** 2 / 2.0
+    return (a - 2.0) ** 2 + 1.5
+
+
+def scad_subproblem_1d(w):
+    """Unique minimizer of scad_g_tilde(t) - w*t.
+
+    Candidates are the stationary point of each smooth branch (kept when it
+    falls inside its interval) plus the breakpoints {-2, 0, 2}; strong
+    convexity makes the best candidate the global minimizer.
+    """
+    w = float(w)
+    candidates = [-2.0, 0.0, 2.0]
+    t = 2.5 * (w - 1.0)            # branch (0, 2):    1 + 2t/5 = w
+    if 0.0 < t < 2.0:
+        candidates.append(t)
+    t = 5.0 * (w + 3.0) / 12.0     # branch [2, inf):  1 + 2(t-2) + 2t/5 = w
+    if t >= 2.0:
+        candidates.append(t)
+    t = 2.5 * (w + 1.0)            # branch (-2, 0):  -1 + 2t/5 = w
+    if -2.0 < t < 0.0:
+        candidates.append(t)
+    t = 5.0 * (w - 3.0) / 12.0     # branch (-inf,-2]: -1 + 2(t+2) + 2t/5 = w
+    if t <= -2.0:
+        candidates.append(t)
+    return min(candidates, key=lambda s: scad_g_tilde(s) - w * s)
+
+
+# ---------------------------------------------------------------------------
+# criticality gaps: zero exactly at critical points
+# ---------------------------------------------------------------------------
+
+def quadl1_criticality_gap(x):
+    """Distance from grad_h(x) to the subdifferential of g at x.
+
+    Zero exactly at critical points; a test certificate, not solve's stop.
+    """
+    u, v = float(x[0]), float(x[1])
+    if u != 0.0:
+        gap_u = abs(u - (-2.5 + 2.0 * u + math.copysign(1.0, u)))
+    else:
+        gap_u = _dist_to_interval(u, -3.5, -1.5)
+    if v != 0.0:
+        gap_v = abs(v - (2.0 * v + math.copysign(1.0, v)))
+    else:
+        gap_v = _dist_to_interval(v, -1.0, 1.0)
+    return max(gap_u, gap_v)
+
+
+def _dist_to_interval(w, lo, hi):
+    if w < lo:
+        return lo - w
+    if w > hi:
+        return w - hi
+    return 0.0
+
+
+def _scad_g_tilde_prime(t):
+    # single-valued away from 0; g~ is smooth at |t| = 2
+    d = math.copysign(1.0, t) + 0.4 * t
+    if abs(t) >= 2.0:
+        d += 2.0 * (abs(t) - 2.0) * math.copysign(1.0, t)
+    return d
+
+
+def scad_criticality_gap(x):
+    """Distance from grad_h(x) to the subdifferential of g at x."""
+    gap = 0.0
+    for t in (float(x[0]), float(x[1])):
+        w = scad_h_tilde_prime(t)
+        if t != 0.0:
+            gap = max(gap, abs(w - _scad_g_tilde_prime(t)))
+        else:
+            gap = max(gap, _dist_to_interval(w, -1.0, 1.0))
+    return gap
+
+
+# ---------------------------------------------------------------------------
+# the g - h splits of the two model families
+# ---------------------------------------------------------------------------
+
+def quadl1_eval_g(x):
+    """g = -(5/2)u + u^2 + v^2 + |u| + |v| of QuadL1Problem."""
+    u, v = float(x[0]), float(x[1])
+    return -2.5 * u + u * u + v * v + abs(u) + abs(v)
+
+
+def quadl1_eval_h(x):
+    """h = (u^2 + v^2)/2 of QuadL1Problem."""
+    u, v = float(x[0]), float(x[1])
+    return 0.5 * (u * u + v * v)
+
+
+def cauchy_eval_g(model, u):
+    """g(u) = tv(u) + (c/2)||u||^2 of a CauchyModel."""
+    u = np.asarray(u, dtype=float)
+    return tv(u) + 0.5 * model.c * float(np.vdot(u, u))
+
+
+def cauchy_eval_h(model, u):
+    """h(u) = -(mu/2) sum log(gamma^2 + (u-f)^2) + (c/2)||u||^2."""
+    u = np.asarray(u, dtype=float)
+    r = u - model.f
+    return (-0.5 * model.mu * float(np.log(model.gamma ** 2 + r * r).sum())
+            + 0.5 * model.c * float(np.vdot(u, u)))
+
+
+def smooth_part_second_derivative(t, mu, gamma, c):
+    """Scalar d^2/dt^2 of -(mu/2) log(gamma^2 + t^2) + (c/2) t^2.
+
+    Nonnegative everywhere iff c >= mu/gamma^2 (the minimum sits at t = 0).
+    """
+    t = np.asarray(t, dtype=float)
+    g2 = gamma * gamma
+    return mu * (t * t - g2) / (g2 + t * t) ** 2 + c

@@ -19,7 +19,8 @@ from dcboost import (CauchyModel, NoiseSpec, PdConfig, QuadL1Problem,
                      grad, grad_h_cauchy, ibdca_line_search,
                      make_squares_image, psnr, quantize_u8, re_err, solve,
                      tv_prox)
-from dcboost.tv_cauchy import div, smooth_part_second_derivative
+from dcboost.tv_cauchy import div
+from oracles import smooth_part_second_derivative
 
 REL_TOL = 1e-8  # monotonicity slack, attributable only to inner inexactness
 

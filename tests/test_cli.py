@@ -352,6 +352,19 @@ def test_denoise_clean_mode_matches_synthetic(tmp_path):
             == (tmp_path / "b" / "restored.pgm").read_bytes())
 
 
+def test_denoise_manifest_records_the_image_size(tmp_path):
+    # --size shapes only the synthetic image; a PGM brings its own size
+    from dcboost.imaging import make_squares_image, write_pgm
+    pgm = tmp_path / "in.pgm"
+    write_pgm(pgm, make_squares_image(32, 40))
+    for mode in ("--clean", "--input"):
+        out = tmp_path / mode.strip("-")
+        assert main(["denoise", mode, str(pgm), "--max-iter", "3",
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "denoise_manifest.json").read_text())
+        assert manifest["flags"]["size"] == [32, 40]
+
+
 def test_denoise_deterministic_modulo_wall_time(tmp_path):
     args = ["denoise", "--synthetic", "--size", "24x24", "--gamma", "3",
             "--seed", "3", "--max-iter", "20"]

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from dcboost import (QuadL1Problem, ScadSeparableProblem, SolverConfig,
@@ -11,8 +12,8 @@ from dcboost import (QuadL1Problem, ScadSeparableProblem, SolverConfig,
                      ibdca_line_search, nmbdca_line_search, solve)
 from dcboost.cli import _TraceStream
 from dcboost.dc_core import DcModel, solve_lanes
-from dcboost.toy_problems import (quadl1_criticality_gap,
-                                  scad_criticality_gap, scad_h_tilde_prime)
+from oracles import (quadl1_criticality_gap, scad_criticality_gap,
+                     scad_h_tilde_prime)
 
 
 class QuadraticModel(DcModel):
@@ -539,6 +540,44 @@ def test_critical_point_certificates_at_termination():
             assert scad_criticality_gap(r2.final_point) <= 1e-8
 
 
+# Lipschitz constant of grad_h: the identity for QuadL1, h~'' <= 1 + 2/5 for
+# SCAD
+CERTIFIED = [(QuadL1Problem, quadl1_criticality_gap, 1.0),
+             (ScadSeparableProblem, scad_criticality_gap, 1.4)]
+
+
+@pytest.mark.parametrize("variant", [Variant.DCA, Variant.IBDCA])
+@pytest.mark.parametrize("problem, gap, lipschitz_h", CERTIFIED,
+                         ids=["quadl1", "scad"])
+def test_cluster_points_are_critical(problem, gap, lipschitz_h, variant):
+    # The certificate holds at y = solve_subproblem(x), where grad_h(x) lies
+    # in the subdifferential of g(y): the gap at y is at most
+    # ||grad_h(y) - grad_h(x)|| <= L_h * ||y - x|| <= L_h * tol_direction.
+    # At x itself it can jump: IBDCA on QuadL1 from the @example start stops
+    # at (1.5, 2.2e-16), where the |v| kink makes the gap at x read 1.0.
+    model = problem()
+    cfg = ibdca_cfg() if variant is Variant.IBDCA else SolverConfig(variant)
+    coord = st.floats(-1e3, 1e3, allow_nan=False)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150)
+    @given(st.tuples(coord, coord))
+    @example((1.9789357068308133, -3.7132678768283056))
+    def check(start):
+        result = solve(model, np.array(start), cfg)
+        phis = [rec.phi for rec in result.trace] + [result.final_phi]
+        # within rounding: near the limit phi can come out an ulp below its
+        # minimum at one iterate and at the minimum at the next
+        assert all(b <= a + 4.0 * np.spacing(max(1.0, abs(a)))
+                   for a, b in zip(phis, phis[1:])), phis
+        assert result.status is Status.CRITICAL_POINT
+        y = model.solve_subproblem(result.final_point)
+        ulps = 4.0 * np.spacing(max(1.0, float(np.abs(y).max())))
+        assert gap(y) <= lipschitz_h * cfg.tol_direction + ulps, (start, y)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # concurrency and config validation
 # ---------------------------------------------------------------------------
@@ -564,6 +603,8 @@ def test_concurrent_solves_match_sequential():
     dict(alpha=math.inf), dict(lambda_bar=math.inf),
     dict(tol_direction=math.nan), dict(tol_direction=math.inf),
     dict(tol_rel_energy=math.nan), dict(tol_rel_energy=-math.inf),
+    dict(max_outer_iter=2.5), dict(max_outer_iter=3.0),
+    dict(max_backtracks=2.5), dict(max_backtracks=np.float64(4.0)),
 ])
 def test_solver_config_validation(bad):
     with pytest.raises(ValueError):
@@ -573,6 +614,12 @@ def test_solver_config_validation(bad):
 def test_variant_accepts_strings():
     cfg = SolverConfig(variant="dca")
     assert cfg.variant is Variant.DCA
+
+
+def test_solver_config_accepts_numpy_integer_counts():
+    cfg = SolverConfig(max_outer_iter=np.int64(3), max_backtracks=np.int32(5))
+    result = solve(QuadL1Problem(), np.array([0.5, 1.0]), cfg)
+    assert len(result.trace) <= 3
 
 
 # ---------------------------------------------------------------------------

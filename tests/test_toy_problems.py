@@ -11,15 +11,14 @@ import dcboost
 import oracles
 from dcboost import (QuadL1Problem, ScadSeparableProblem, Variant,
                      basin_experiment, classify_attractor, quadl1_subproblem,
-                     scad_phi_tilde, scad_subproblem_1d, solve,
-                     write_basin_csv)
+                     solve, write_basin_csv)
 from dcboost import toy_problems
 from dcboost.dc_core import solve_lanes
 from dcboost.toy_problems import (ATTRACTOR_LABELS, OTHER_LABEL,
-                                  default_basin_config,
-                                  quadl1_criticality_gap,
-                                  scad_criticality_gap, scad_g_tilde,
-                                  scad_h_tilde, scad_h_tilde_prime)
+                                  default_basin_config)
+from oracles import (quadl1_criticality_gap, scad_criticality_gap,
+                     scad_g_tilde, scad_h_tilde, scad_h_tilde_prime,
+                     scad_phi_tilde, scad_subproblem_1d)
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +69,12 @@ def test_quadl1_strong_convexity_moduli():
         a = rng.uniform(-4.0, 4.0, size=2)
         b = rng.uniform(-4.0, 4.0, size=2)
         mid = 0.5 * (a + b)
-        for fun, modulus in ((model.eval_g, 2.0), (model.eval_h, 1.0)):
+        for fun, modulus in ((oracles.quadl1_eval_g, 2.0),
+                             (oracles.quadl1_eval_h, 1.0)):
             shifted = lambda z: fun(z) - 0.5 * modulus * float(np.vdot(z, z))
             assert shifted(mid) <= 0.5 * (shifted(a) + shifted(b)) + 1e-12
+        split = oracles.quadl1_eval_g(a) - oracles.quadl1_eval_h(a)
+        assert abs(model.phi(a) - split) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +182,24 @@ def test_scad_lane_methods_bitwise_match_per_point():
     model = ScadSeparableProblem()
     Y, infos = model.subproblem_lanes(X)
     assert len(infos) == len(X)
+    # the lane forms against the scalar references, entry by entry
     for x, y, phi in zip(X, Y, model.phi_lanes(X)):
-        assert phi == model.phi(x)
-        assert np.array_equal(y.view(np.int64),
-                              model.solve_subproblem(x).view(np.int64))
+        u, v = float(x[0]), float(x[1])
+        assert phi == scad_phi_tilde(u) + scad_phi_tilde(v)
+        ref = np.array([scad_subproblem_1d(scad_h_tilde_prime(u)),
+                        scad_subproblem_1d(scad_h_tilde_prime(v))])
+        assert np.array_equal(y.view(np.int64), ref.view(np.int64))
+    # the per-point methods are one-lane calls of the same forms
+    for x, y, phi in zip(X[:2000], Y, model.phi_lanes(X[:2000])):
+        assert model.phi(x) == phi
+        assert np.array_equal(model.solve_subproblem(x).view(np.int64),
+                              y.view(np.int64))
+    # the subproblem's fixed candidates g~(-2), g~(0), g~(2)
+    corners = np.array(toy_problems._G_AT_BREAKPOINTS)
+    assert np.array_equal(corners.view(np.int64),
+                          np.array([2.8, 0.0, 2.8]).view(np.int64))
+    assert toy_problems._G_AT_BREAKPOINTS == [
+        scad_g_tilde(c) for c in (-2.0, 0.0, 2.0)]
 
 
 def test_scad_critical_points():

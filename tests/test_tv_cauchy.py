@@ -7,8 +7,8 @@ import oracles
 from dcboost import (CauchyModel, PdConfig, SolverConfig, Variant, div,
                      energy, grad, grad_h_cauchy, make_squares_image, solve,
                      tv, tv_prox)
-from dcboost.tv_cauchy import (GRAD_NORM_SQ_BOUND, PD_STEP0,
-                               smooth_part_second_derivative)
+from dcboost.tv_cauchy import GRAD_NORM_SQ_BOUND, PD_STEP0
+from oracles import smooth_part_second_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -43,17 +43,19 @@ def test_div_of_zero_field():
 
 
 def test_adjoint_identity_random_fields():
+    # the thin shapes make a whole raster of grad/div boundary slices
     rng = np.random.default_rng(17)
-    for _ in range(30):
-        u = rng.normal(size=(5, 7))
-        px = rng.normal(size=(5, 7))
-        py = rng.normal(size=(5, 7))
-        g = grad(u)
-        lhs = float(np.vdot(g.px, px) + np.vdot(g.py, py))
-        rhs = -float(np.vdot(u, div((px, py))))
-        scale = np.linalg.norm(u) * math.hypot(np.linalg.norm(px),
-                                               np.linalg.norm(py))
-        assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0)
+    for shape in ((5, 7), (2, 2), (1, 6), (6, 1), (1, 1)):
+        for _ in range(30):
+            u = rng.normal(size=shape)
+            px = rng.normal(size=shape)
+            py = rng.normal(size=shape)
+            g = grad(u)
+            lhs = float(np.vdot(g.px, px) + np.vdot(g.py, py))
+            rhs = -float(np.vdot(u, div((px, py))))
+            scale = np.linalg.norm(u) * math.hypot(np.linalg.norm(px),
+                                                   np.linalg.norm(py))
+            assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0), shape
 
 
 def test_div_grad_spike_is_discrete_laplacian():
@@ -194,6 +196,11 @@ def test_pd_config_validation():
         PdConfig(max_inner_iter=0)
     with pytest.raises(ValueError):
         PdConfig(tol_inner=0.0)
+    # a non-integral count fails here, not later inside range()
+    for bad in (2.5, 3.0, np.float64(4.0)):
+        with pytest.raises(ValueError, match="integer"):
+            PdConfig(max_inner_iter=bad)
+    assert PdConfig(max_inner_iter=np.int64(3)).max_inner_iter == 3
     # the first step sizes respect the operator-norm bound tau*sigma*8 <= 1
     assert PD_STEP0 * PD_STEP0 * GRAD_NORM_SQ_BOUND <= 1.0 + 1e-9
 
@@ -236,7 +243,8 @@ def test_model_phi_consistent_with_parts():
     for _ in range(10):
         u = f + rng.normal(scale=20.0, size=f.shape)
         direct = model.phi(u)
-        split = model.eval_g(u) - model.eval_h(u)
+        split = (oracles.cauchy_eval_g(model, u)
+                 - oracles.cauchy_eval_h(model, u))
         assert abs(direct - split) <= 1e-9 * max(abs(direct), 1.0)
         assert direct == energy(u, model)
 
@@ -249,7 +257,8 @@ def test_model_parts_are_midpoint_convex():
         a = f + rng.normal(scale=40.0, size=f.shape)
         b = f + rng.normal(scale=40.0, size=f.shape)
         mid = 0.5 * (a + b)
-        for fun in (model.eval_g, model.eval_h):
+        for part in (oracles.cauchy_eval_g, oracles.cauchy_eval_h):
+            fun = lambda u: part(model, u)
             assert fun(mid) <= 0.5 * (fun(a) + fun(b)) + 1e-8
 
 
