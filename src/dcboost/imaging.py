@@ -9,6 +9,7 @@ can compute metrics on exactly the values a written file would contain.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,6 +172,8 @@ def make_squares_image(m1, m2):
     all at fixed fractional positions, so doubling the resolution scales
     every region's pixel count by four.
     """
+    if not all(isinstance(m, numbers.Integral) for m in (m1, m2)):
+        raise ValueError("image size must be integers")
     if m1 < 16 or m2 < 16:
         raise ValueError("image must be at least 16x16")
     img = np.full((m1, m2), 32.0)

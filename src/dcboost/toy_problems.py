@@ -11,6 +11,7 @@ standard way to compare how well the solver variants escape the poor ones.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -249,8 +250,8 @@ def basin_experiment(n_points, seed, variant, cfg=None, points=None):
     A ``cfg`` given must be for ``variant``.
     """
     if points is None:
-        if n_points < 1:
-            raise ValueError("n_points must be at least 1")
+        if not (isinstance(n_points, numbers.Integral) and n_points >= 1):
+            raise ValueError("n_points must be an integer, at least 1")
         rng = np.random.Generator(np.random.Philox(key=seed))
         blocks = (SAMPLE_LOW + (SAMPLE_HIGH - SAMPLE_LOW)
                   * rng.random((min(BASIN_BLOCK, n_points - start), 2))

@@ -47,26 +47,48 @@ class GradientField(NamedTuple):
     py: np.ndarray
 
 
-def grad(u):
-    """Forward differences, zero past the last column (px) / last row (py)."""
+def grad(u, out=None):
+    """Forward differences, zero past the last column (px) / last row (py).
+
+    With ``out`` (a float array of shape ``(2, *u.shape)``) the differences
+    are written into it, boundary zeros included, and the returned field
+    views it; nothing is allocated.
+    """
     u = np.asarray(u, dtype=float)
-    px = np.zeros_like(u)
-    py = np.zeros_like(u)
-    px[:, :-1] = u[:, 1:] - u[:, :-1]
-    py[:-1, :] = u[1:, :] - u[:-1, :]
+    if out is None:
+        out = np.empty((2,) + u.shape)
+    px, py = out
+    np.subtract(u[:, 1:], u[:, :-1], out=px[:, :-1])
+    px[:, -1] = 0.0
+    np.subtract(u[1:, :], u[:-1, :], out=py[:-1, :])
+    py[-1, :] = 0.0
     return GradientField(px, py)
 
 
-def div(p):
+def div(p, out=None):
     """Negative adjoint of :func:`grad`: <grad u, p> = -<u, div p> exactly.
 
     Backward differences with boundary truncation; values on the last column
     of px and last row of py never contribute (grad never produces them).
+    ``p`` is a pair (px, py), or one array of shape ``(2, m, n)``.  With
+    ``out`` (a float array of shape ``(m, n)``) the result is written into
+    it, every entry overwritten, and returned; nothing is allocated.
     """
     px, py = p
-    out = np.zeros_like(np.asarray(px, dtype=float))
-    out[:, :-1] += px[:, :-1]
-    out[:, 1:] -= px[:, :-1]
+    px = np.asarray(px, dtype=float)
+    if out is None:
+        out = np.empty(px.shape)
+    if px.shape[1] == 1:
+        out.fill(0.0)
+    else:
+        # Interior columns are px[:, j] - px[:, j-1], bitwise equal to the
+        # zero-filled sum (0 + px[:, j]) - px[:, j-1] unless px[:, j] is
+        # -0.0.  tv_prox feeds none: its p starts at +0.0, x + y is -0.0
+        # only when both are, and dividing by mag >= 1 makes -0.0 only out
+        # of a negative subnormal.
+        np.add(0.0, px[:, 0], out=out[:, 0])
+        np.subtract(px[:, 1:-1], px[:, :-2], out=out[:, 1:-1])
+        np.subtract(0.0, px[:, -2], out=out[:, -1])
     out[:-1, :] += py[:-1, :]
     out[1:, :] -= py[:-1, :]
     return out
@@ -140,42 +162,67 @@ def tv_prox(v, c, cfg=None, u0=None):
     than the prox iterate, whose step sizes vanish.  The stop is on the
     relative change of u_hat; when max_inner_iter is reached first the best
     iterate comes back flagged ``converged=False``.
+
+    The loop allocates no arrays: its buffers are made once per call, the dual
+    is held as one ``(2, m, n)`` array so each dual step is one call, and
+    every step writes with ``out=``.  The operation order is that of the
+    plain allocating loop (kept in the tests as the reference), so the
+    result is bitwise equal to it.
     """
     if not 0.0 < 2.0 * c < math.inf:  # the step update forms 2*c*tau
         raise ValueError("c must be positive, with 2c finite")
     cfg = PdConfig() if cfg is None else cfg
     v = np.asarray(v, dtype=float)
     u = v / c if u0 is None else np.array(u0, dtype=float, copy=True)
+    # Eight raster-sized buffers, made once; each step below writes with
+    # out= in the operation order of the plain expression in its comment.
     ubar = u.copy()
-    u_hat_prev = u
-    px = np.zeros_like(v)
-    py = np.zeros_like(v)
+    u_hat = u.copy()
+    u_hat_prev = np.empty_like(u)
+    p = np.zeros((2,) + u.shape)  # the dual (px, py)
+    g = np.empty_like(p)  # grad(ubar), then p*p
+    s = g[0]  # scratch once p*p is summed
     tau = sigma = PD_STEP0
 
-    u_hat = u
     resid = math.inf
     converged = False
     iters = 0
     for iters in range(1, cfg.max_inner_iter + 1):
-        gx, gy = grad(ubar)
-        px += sigma * gx
-        py += sigma * gy
-        mag = np.maximum(1.0, np.sqrt(px * px + py * py))
-        px /= mag
-        py /= mag
+        # p = (p + sigma*grad(ubar)) / max(1, sqrt(px*px + py*py))
+        grad(ubar, out=g)
+        np.multiply(g, sigma, out=g)
+        np.add(p, g, out=p)
+        np.multiply(p, p, out=g)
+        mag = np.add(g[0], g[1], out=s)
+        np.sqrt(mag, out=mag)
+        np.maximum(mag, 1.0, out=mag)
+        np.divide(p, mag, out=p)
 
-        divp = div((px, py))
-        u_hat = (v + divp) / c
-        u_prev = u
-        u = (u + tau * divp + tau * v) / (1.0 + tau * c)
+        u_hat, u_hat_prev = u_hat_prev, u_hat
+        divp = div(p, out=u_hat)
+        # u_next = (u + tau*divp + tau*v) / (1 + tau*c), over ubar (read
+        # for the last time by grad above)
+        u_next = ubar
+        np.multiply(divp, tau, out=u_next)
+        np.add(u, u_next, out=u_next)
+        np.multiply(v, tau, out=s)
+        np.add(u_next, s, out=u_next)
+        np.divide(u_next, 1.0 + tau * c, out=u_next)
         theta = 1.0 / math.sqrt(1.0 + 2.0 * c * tau)
         tau *= theta
         sigma /= theta
-        ubar = u + theta * (u - u_prev)
+        # ubar = u_next + theta*(u_next - u), over u
+        np.subtract(u_next, u, out=u)
+        np.multiply(u, theta, out=u)
+        np.add(u_next, u, out=u)
+        u, ubar = u_next, u
+        # u_hat = (v + divp) / c, over divp
+        np.add(v, divp, out=u_hat)
+        np.divide(u_hat, c, out=u_hat)
 
-        resid = float(np.linalg.norm(u_hat - u_hat_prev)) / max(
+        np.subtract(u_hat, u_hat_prev, out=s)
+        resid = float(np.linalg.norm(s)) / max(
             float(np.linalg.norm(u_hat_prev)), 1e-300)
-        u_hat_prev = u_hat
         if resid <= cfg.tol_inner:
             converged = True
             break

@@ -11,14 +11,16 @@ lanes.  The scalar references below state the same forms branch by branch
 in plain Python; the lane forms must match them bit for bit.  The g and h
 evaluators of both model families, the second derivative of the Cauchy
 smooth part and the criticality gaps dist(grad_h(x), subdiff g(x)) are
-test oracles too: the solvers never need them.
+test oracles too: the solvers never need them.  The TV primal-dual loop is
+kept here in its plain allocating form, each step a fresh array, as the
+reference that the library's preallocated kernel must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from dcboost.tv_cauchy import div, grad, tv
+from dcboost.tv_cauchy import PD_STEP0, TvProxResult, div, grad, tv
 
 
 def grid_argmin(fun, lo, hi, coarse=1e-3, fine=1e-6):
@@ -111,6 +113,72 @@ def tv_value(u):
 
 def tv_prox_objective(u, v, c):
     return tv_value(u) + 0.5 * c * float(np.vdot(u, u)) - float(np.vdot(v, u))
+
+
+# ---------------------------------------------------------------------------
+# the allocating TV primal-dual loop, the reference of the library's kernel
+# ---------------------------------------------------------------------------
+
+def grad_reference(u):
+    """Forward differences on zero-filled fresh arrays."""
+    u = np.asarray(u, dtype=float)
+    px = np.zeros_like(u)
+    py = np.zeros_like(u)
+    px[:, :-1] = u[:, 1:] - u[:, :-1]
+    py[:-1, :] = u[1:, :] - u[:-1, :]
+    return px, py
+
+
+def div_reference(p):
+    """Backward differences summed into a zero-filled fresh array."""
+    px, py = p
+    out = np.zeros_like(np.asarray(px, dtype=float))
+    out[:, :-1] += px[:, :-1]
+    out[:, 1:] -= px[:, :-1]
+    out[:-1, :] += py[:-1, :]
+    out[1:, :] -= py[:-1, :]
+    return out
+
+
+def tv_prox_reference(v, c, cfg, u0=None):
+    """The TV primal-dual loop written with plain expressions, every step
+    allocating its result; tv_prox must match it bit for bit."""
+    v = np.asarray(v, dtype=float)
+    u = v / c if u0 is None else np.array(u0, dtype=float, copy=True)
+    ubar = u.copy()
+    u_hat_prev = u
+    px = np.zeros_like(v)
+    py = np.zeros_like(v)
+    tau = sigma = PD_STEP0
+
+    u_hat = u
+    resid = math.inf
+    converged = False
+    iters = 0
+    for iters in range(1, cfg.max_inner_iter + 1):
+        gx, gy = grad_reference(ubar)
+        px += sigma * gx
+        py += sigma * gy
+        mag = np.maximum(1.0, np.sqrt(px * px + py * py))
+        px /= mag
+        py /= mag
+
+        divp = div_reference((px, py))
+        u_hat = (v + divp) / c
+        u_prev = u
+        u = (u + tau * divp + tau * v) / (1.0 + tau * c)
+        theta = 1.0 / math.sqrt(1.0 + 2.0 * c * tau)
+        tau *= theta
+        sigma /= theta
+        ubar = u + theta * (u - u_prev)
+
+        resid = float(np.linalg.norm(u_hat - u_hat_prev)) / max(
+            float(np.linalg.norm(u_hat_prev)), 1e-300)
+        u_hat_prev = u_hat
+        if resid <= cfg.tol_inner:
+            converged = True
+            break
+    return TvProxResult(u_hat, iters, resid, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -190,3 +190,11 @@ def test_squares_rectangles_scale_with_resolution():
 def test_squares_rejects_tiny_sizes():
     with pytest.raises(ValueError):
         make_squares_image(8, 64)
+
+
+def test_squares_rejects_non_integral_sizes():
+    # a fractional size fails here, not later inside np.full
+    for m1, m2 in ((32.5, 32), (32, 32.0), (np.float64(32.0), 32)):
+        with pytest.raises(ValueError, match="integers"):
+            make_squares_image(m1, m2)
+    assert make_squares_image(np.int64(16), 16).shape == (16, 16)

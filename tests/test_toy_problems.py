@@ -345,6 +345,15 @@ def test_basin_rejects_nonpositive_n():
         basin_experiment(0, seed=0, variant=Variant.DCA)
 
 
+def test_basin_rejects_non_integral_n():
+    # a non-integral count fails here, not later inside range()
+    for bad in (2.5, 3.0, np.float64(4.0)):
+        with pytest.raises(ValueError, match="integer"):
+            basin_experiment(bad, seed=7, variant=Variant.DCA)
+    report = basin_experiment(np.int64(3), seed=7, variant=Variant.DCA)
+    assert sum(report.counts.values()) == 3
+
+
 def test_default_basin_config_lambda_bar():
     assert default_basin_config(Variant.IBDCA).lambda_bar == 3.0
     assert default_basin_config(Variant.DCA).lambda_bar == 3.0

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from dcboost import (CauchyModel, PdConfig, SolverConfig, Variant, div,
-                     energy, grad, grad_h_cauchy, make_squares_image, solve,
-                     tv, tv_prox)
+from dcboost import (CauchyModel, NoiseSpec, PdConfig, SolverConfig, Variant,
+                     add_cauchy_noise, div, energy, grad, grad_h_cauchy,
+                     make_squares_image, quantize_u8, solve, tv, tv_prox)
 from dcboost.tv_cauchy import GRAD_NORM_SQ_BOUND, PD_STEP0
 from oracles import smooth_part_second_derivative
 
@@ -56,6 +56,30 @@ def test_adjoint_identity_random_fields():
             scale = np.linalg.norm(u) * math.hypot(np.linalg.norm(px),
                                                    np.linalg.norm(py))
             assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0), shape
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_grad_div_out_bitwise_equal_allocating():
+    # NaN-filled buffers show that every entry, the zero boundary row and
+    # column included, is rewritten: tv_prox reuses grad's buffer as scratch
+    rng = np.random.default_rng(19)
+    for shape in ((5, 7), (2, 2), (1, 6), (6, 1), (1, 1)):
+        u = rng.normal(size=shape)
+        p = rng.normal(size=(2,) + shape)
+        gbuf = np.full((2,) + shape, np.nan)
+        g = grad(u, out=gbuf)
+        assert np.shares_memory(g.px, gbuf) and np.shares_memory(g.py, gbuf)
+        for got, fresh, ref in zip(g, grad(u), oracles.grad_reference(u)):
+            assert np.array_equal(_bits(got), _bits(fresh)), shape
+            assert np.array_equal(_bits(got), _bits(ref)), shape
+        dbuf = np.full(shape, np.nan)
+        assert div(p, out=dbuf) is dbuf
+        assert np.array_equal(_bits(dbuf), _bits(div((p[0], p[1])))), shape
+        assert np.array_equal(_bits(dbuf), _bits(oracles.div_reference(p))), \
+            shape
 
 
 def test_div_grad_spike_is_discrete_laplacian():
@@ -176,6 +200,35 @@ def test_tv_prox_matches_dual_oracle_small_instances():
         gap = abs(oracles.tv_prox_objective(res.u, v, 1.0)
                   - oracles.tv_prox_objective(ref, v, 1.0))
         assert gap <= 1e-6
+
+
+def test_tv_prox_bitwise_matches_allocating_reference():
+    rng = np.random.default_rng(47)
+    clean = make_squares_image(64, 64)
+    f = quantize_u8(add_cauchy_noise(clean, NoiseSpec(gamma=3.0, seed=7)))
+    model = CauchyModel(f, mu=15.0, gamma=3.0, c=1.83)
+    cases = [(grad_h_cauchy(f, model), model.c, f)]
+    for shape in ((2, 2), (5, 7), (33, 17)):
+        cases.append((10.0 * rng.normal(size=shape), 0.7,
+                      rng.normal(size=shape)))
+    default, cut = PdConfig(), PdConfig(max_inner_iter=7)
+    long_run = PdConfig(max_inner_iter=5000, tol_inner=1e-9)
+    runs = [(v, c, u0, cfg) for v, c, start in cases
+            for u0 in (start, None) for cfg in (default, cut)]
+    v, c, start = cases[1]  # 2x2: over a thousand iterations in ~0.1 s
+    runs += [(v, c, start, long_run), (v, c, None, long_run)]
+    for v, c, u0, cfg in runs:
+        got = tv_prox(v, c, cfg, u0=u0)
+        want = oracles.tv_prox_reference(v, c, cfg, u0=u0)
+        case = (v.shape, u0 is None, cfg)
+        assert np.array_equal(_bits(got.u), _bits(want.u)), case
+        assert got.iters == want.iters, case
+        assert _bits(got.resid) == _bits(want.resid), case
+        assert got.converged is want.converged, case
+        if cfg is cut:
+            assert got.iters == 7 and not got.converged, case
+        if cfg is long_run:
+            assert 1000 < got.iters < 5000 and got.converged, case
 
 
 def test_tv_prox_nonconvergence_flag():
