@@ -33,9 +33,9 @@ from .dc_core import (SolverConfig, Status, SubproblemError, Variant,
                       trace_row)
 from .imaging import (NoiseSpec, add_cauchy_noise, make_squares_image, psnr,
                       quantize_u8, re_err, read_pgm, write_pgm)
-from .toy_problems import (ATTRACTOR_LABELS, OTHER_LABEL, QuadL1Problem,
-                           ScadSeparableProblem, basin_experiment,
-                           default_basin_config, write_basin_csv)
+from .toy_problems import (LABELS, QuadL1Problem, ScadSeparableProblem,
+                           basin_experiment, default_basin_config,
+                           write_basin_csv)
 from .tv_cauchy import CauchyModel, PdConfig
 
 # standard protocol: mu by noise level, and the tuned c for the two
@@ -271,7 +271,7 @@ def cmd_basin(args):
     _write_manifest(out_dir, "basin", flags, {"report": csv_path},
                     totals=totals)
 
-    for label in ATTRACTOR_LABELS + (OTHER_LABEL,):
+    for label in LABELS:
         count = report.counts.get(label, 0)
         print(f"{label} count={count} fraction={count / report.n_points:.4f}")
     print(f"n_points={report.n_points} variant={report.variant.value} "

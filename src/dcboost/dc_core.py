@@ -243,7 +243,9 @@ def _sqnorms(D):
 
 def _rows(A, lanes):
     """Rows ``lanes`` of A; A itself when every row is wanted."""
-    return A if len(lanes) == len(A) else A[lanes]
+    # take moves each row as one block; indexing a 2-D stack copies its
+    # short rows several times slower
+    return A if len(lanes) == len(A) else A.take(lanes, axis=0)
 
 
 # Trial entries (rungs x lanes x point size) evaluated per phi_lanes call.
@@ -305,13 +307,13 @@ def _backtrack(model, base, D, cfg, floor, bound, fallback):
         got = model.phi_lanes(trial.reshape((-1,) + point_shape))
         got = got.reshape(rungs, -1)
         ok = got <= bound(lanes, lam)
-        ok &= np.arange(j, j + rungs)[:, None] < lane_limit
-        first = ok.argmax(axis=0)
-        cols = np.arange(lanes.size)
-        hit = ok[first, cols]
+        # rung j lies within every walking lane's limit
+        ok[1:] &= np.arange(j + 1, j + rungs)[:, None] < lane_limit
+        hit = ok.any(axis=0)
         if hit.any():
-            rung, col = first[hit], cols[hit]
-            done = lanes[hit]
+            col = np.flatnonzero(hit)
+            rung = ok[:, col].argmax(axis=0)
+            done = lanes[col]
             lam_out[done] = lam[rung, 0]
             bt_out[done] = j + rung
             points[done] = trial[rung, col]

@@ -28,6 +28,7 @@ __all__ = [
     "ScadSeparableProblem",
     "basin_experiment",
     "classify_attractor",
+    "classify_lanes",
     "default_basin_config",
     "quadl1_subproblem",
     "write_basin_csv",
@@ -177,12 +178,17 @@ class ScadSeparableProblem(DcModel):
     def solve_subproblem(self, x):
         return self.subproblem_lanes(np.asarray(x, dtype=float)[None])[0][0]
 
+    # The lane forms evaluate every branch on every entry and keep one, so
+    # entries near the float limit overflow, or meet inf - inf, in branches
+    # that are then dropped.  Library calls stay as quiet as CLI runs.
     def phi_lanes(self, X):
-        per_coord = _scad_phi_tilde_lanes(X)
-        return per_coord[:, 0] + per_coord[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_coord = _scad_phi_tilde_lanes(X)
+            return per_coord[:, 0] + per_coord[:, 1]
 
     def subproblem_lanes(self, X):
-        Y = _scad_subproblem_lanes(_scad_h_tilde_prime_lanes(X))
+        with np.errstate(over="ignore", invalid="ignore"):
+            Y = _scad_subproblem_lanes(_scad_h_tilde_prime_lanes(X))
         return Y, [{}] * len(X)
 
 
@@ -193,6 +199,7 @@ class ScadSeparableProblem(DcModel):
 ATTRACTORS = ((0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (2.0, 2.0))
 ATTRACTOR_LABELS = ("(0,0)", "(0,2)", "(2,0)", "(2,2)")
 OTHER_LABEL = "other"
+LABELS = ATTRACTOR_LABELS + (OTHER_LABEL,)
 CLASSIFY_RADIUS = 1e-3
 SAMPLE_LOW, SAMPLE_HIGH = 0.0, 3.0
 
@@ -215,13 +222,22 @@ class BasinReport:
     linesearch_failures: int = 0
 
 
+def classify_lanes(points):
+    """Index into ``LABELS`` of each point's label: the first attractor
+    within the classification radius, else 'other'.  ``points`` stacks the
+    points along a leading axis."""
+    P = np.asarray(points, dtype=float).reshape(-1, 2)
+    labels = np.full(len(P), len(ATTRACTORS))
+    # the last write wins, so walk the attractors backwards
+    for i in reversed(range(len(ATTRACTORS))):
+        au, av = ATTRACTORS[i]
+        labels[np.hypot(P[:, 0] - au, P[:, 1] - av) <= CLASSIFY_RADIUS] = i
+    return labels
+
+
 def classify_attractor(point):
     """Label of the attractor within the classification radius, else 'other'."""
-    u, v = float(point[0]), float(point[1])
-    for label, (au, av) in zip(ATTRACTOR_LABELS, ATTRACTORS):
-        if math.hypot(u - au, v - av) <= CLASSIFY_RADIUS:
-            return label
-    return OTHER_LABEL
+    return LABELS[classify_lanes(point)[0]]
 
 
 def default_basin_config(variant):
@@ -231,11 +247,15 @@ def default_basin_config(variant):
 
 
 # Starts solved together in one stack of lanes; bounds the working set
-# whatever the number of starts.  Larger blocks run little faster but cost
-# resident memory beyond their arrays: as lanes retire, masks and index
-# arrays take every length below the block size, and numpy keeps freed
-# buffers under 1 KiB in a cache per exact size (up to ~3.5 MiB at 1024).
-BASIN_BLOCK = 256
+# whatever the number of starts.  A block runs until its slowest lane ends,
+# so wider blocks make fewer lockstep iterations: 10^4 starts, four variants,
+# took 0.79 / 0.59 / 0.43 / 0.36 / 0.34 s at 256 / 512 / 1024 / 2048 / 4096
+# lanes (2-core x86_64).  Wider blocks also cost resident memory beyond
+# their arrays: as lanes retire, masks and index arrays take every length
+# below the block size, and numpy keeps freed buffers under 1 KiB in a cache
+# per exact size.  Peak RSS of that run rose by 0.3 / 1.0 / 1.0 / 1.7 MiB
+# over 256 lanes; 2048 is the widest block within 1.5 MiB.
+BASIN_BLOCK = 2048
 
 
 def basin_experiment(n_points, seed, variant, cfg=None, points=None):
@@ -267,18 +287,19 @@ def basin_experiment(n_points, seed, variant, cfg=None, points=None):
     if cfg.variant is not variant:
         raise ValueError(f"cfg runs {cfg.variant.value}, not {variant.value}")
     model = ScadSeparableProblem()
-    counts = dict.fromkeys(ATTRACTOR_LABELS + (OTHER_LABEL,), 0)
+    counts = np.zeros(len(LABELS), dtype=int)
     outer = backtracks = failures = 0
     t0 = time.perf_counter()
     for block in blocks:
         lanes = solve_lanes(model, block, cfg)
-        for point in lanes.final_points:
-            counts[classify_attractor(point)] += 1
+        counts += np.bincount(classify_lanes(lanes.final_points),
+                              minlength=len(LABELS))
         outer += int(lanes.outer_iterations.sum())
         backtracks += int(lanes.backtracks.sum())
         failures += int(lanes.linesearch_failures.sum())
     elapsed = time.perf_counter() - t0
-    return BasinReport(counts, n_points, cfg.variant, elapsed, seed=seed,
+    return BasinReport(dict(zip(LABELS, counts.tolist())), n_points,
+                       cfg.variant, elapsed, seed=seed,
                        outer_iterations=outer, backtracks=backtracks,
                        linesearch_failures=failures)
 
@@ -293,6 +314,6 @@ def write_basin_csv(report, path):
                  f"backtracks={report.backtracks} "
                  f"linesearch_failures={report.linesearch_failures}\n")
         fh.write("attractor,count\n")
-        for label in ATTRACTOR_LABELS + (OTHER_LABEL,):
+        for label in LABELS:
             name = f'"{label}"' if "," in label else label
             fh.write(f"{name},{report.counts.get(label, 0)}\n")

@@ -2,10 +2,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dcboost
 import oracles
@@ -14,8 +16,9 @@ from dcboost import (QuadL1Problem, ScadSeparableProblem, Variant,
                      solve, write_basin_csv)
 from dcboost import toy_problems
 from dcboost.dc_core import solve_lanes
-from dcboost.toy_problems import (ATTRACTOR_LABELS, OTHER_LABEL,
-                                  default_basin_config)
+from dcboost.toy_problems import (ATTRACTOR_LABELS, ATTRACTORS, BASIN_BLOCK,
+                                  CLASSIFY_RADIUS, LABELS, OTHER_LABEL,
+                                  classify_lanes, default_basin_config)
 from oracles import (quadl1_criticality_gap, scad_criticality_gap,
                      scad_g_tilde, scad_h_tilde, scad_h_tilde_prime,
                      scad_phi_tilde, scad_subproblem_1d)
@@ -202,6 +205,18 @@ def test_scad_lane_methods_bitwise_match_per_point():
         scad_g_tilde(c) for c in (-2.0, 0.0, 2.0)]
 
 
+def test_scad_methods_do_not_warn_on_huge_entries():
+    # the branches a huge or infinite entry does not take overflow or meet
+    # inf - inf; their values are dropped and must not warn
+    model = ScadSeparableProblem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.phi([np.inf, 0.0]) == np.inf
+        assert model.phi([2e154, 0.0]) == np.inf
+        assert model.phi_lanes(np.array([[-np.inf, np.inf]]))[0] == np.inf
+        assert model.solve_subproblem([1e300, 0.0])[1] == 0.0
+
+
 def test_scad_critical_points():
     for point in ((0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (2.0, 2.0)):
         assert scad_criticality_gap(point) <= 1e-15
@@ -222,6 +237,8 @@ def test_classify_attractor():
     assert classify_attractor((2.0 + 5e-4, 0.0)) == "(2,0)"
     assert classify_attractor((1.0, 1.0)) == OTHER_LABEL
     assert classify_attractor((-2.0, 0.0)) == OTHER_LABEL
+    points = [(2.0, 2.0), (np.nan, 0.0), (0.0, np.inf), (0.0, 2.0 - 5e-4)]
+    assert classify_lanes(points).tolist() == [3, 4, 4, 1]
 
 
 def test_basin_counts_sum_and_determinism():
@@ -270,7 +287,7 @@ def test_basin_lanes_match_single_solves(variant, monkeypatch):
     cfg = default_basin_config(variant)
     starts = _lane_starts()
     lanes = solve_lanes(model, starts, cfg)
-    expected = dict.fromkeys(ATTRACTOR_LABELS + (OTHER_LABEL,), 0)
+    expected = dict.fromkeys(LABELS, 0)
     for i, start in enumerate(starts):
         single = solve(model, start, cfg)
         assert np.array_equal(lanes.final_points[i], single.final_point)
@@ -297,12 +314,58 @@ def test_basin_lanes_match_single_solves(variant, monkeypatch):
                 whole.linesearch_failures))
 
 
+# breakpoints of phi~ on the sampling box and their one-ulp neighbours
+_EDGES = sorted({float(np.nextafter(b, t)) for b in (0.0, 1.0, 2.0)
+                 for t in (-np.inf, b, np.inf)})
+
+
+@st.composite
+def _near_radius(draw):
+    """A point within a few ulps of an attractor's classification circle."""
+    au, av = draw(st.sampled_from(ATTRACTORS))
+    theta = draw(st.floats(0.0, 2.0 * np.pi))
+    radius = CLASSIFY_RADIUS
+    for _ in range(draw(st.integers(0, 3))):
+        radius = np.nextafter(radius, draw(st.sampled_from((0.0, 1.0))))
+    return au + radius * np.cos(theta), av + radius * np.sin(theta)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_any_lane_split_gives_the_whole_stack_results(variant, monkeypatch):
+    model = ScadSeparableProblem()
+    cfg = default_basin_config(variant)
+    coord = st.one_of(st.floats(0.0, 3.0), st.sampled_from(_EDGES))
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=13)
+    @given(st.lists(st.tuples(coord, coord), min_size=16, max_size=128),
+           st.integers(1, 64), st.lists(_near_radius(), max_size=8))
+    def check(starts, block, near):
+        whole = solve_lanes(model, np.array(starts), cfg)
+        expected = dict.fromkeys(LABELS, 0)
+        for point in whole.final_points:
+            expected[classify_attractor(point)] += 1
+        monkeypatch.setattr(toy_problems, "BASIN_BLOCK", block)
+        split = basin_experiment(0, seed=0, variant=variant, points=starts)
+        assert split.counts == expected
+        assert ((split.outer_iterations, split.backtracks,
+                 split.linesearch_failures)
+                == (whole.outer_iterations.sum(), whole.backtracks.sum(),
+                    whole.linesearch_failures.sum()))
+        points = np.vstack([whole.final_points, np.reshape(near, (-1, 2))])
+        assert ([LABELS[i] for i in classify_lanes(points)]
+                == [classify_attractor(p) for p in points])
+
+    check()
+
+
 def test_basin_block_draws_equal_one_draw():
-    # 700 starts: two full blocks of 256 and a partial one
+    # two full blocks and a partial one
+    n = 2 * BASIN_BLOCK + 188
     rng = np.random.Generator(np.random.Philox(key=11))
-    points = 3.0 * rng.random((700, 2))
+    points = 3.0 * rng.random((n, 2))
     for variant in (Variant.DCA, Variant.BDCA):
-        drawn = basin_experiment(700, seed=11, variant=variant)
+        drawn = basin_experiment(n, seed=11, variant=variant)
         given = basin_experiment(0, seed=11, variant=variant, points=points)
         assert drawn.counts == given.counts
         assert ((drawn.outer_iterations, drawn.backtracks,
@@ -320,8 +383,10 @@ def test_basin_memory_flat_in_n():
         finally:
             tracemalloc.stop()
 
-    # all 8192 starts at once would take 128 KiB, their temporary as much
-    assert peak_bytes(8192) <= peak_bytes(512) + 64 * 1024
+    # 16 blocks of starts at once would take 16 * 16 * BASIN_BLOCK bytes
+    # (512 KiB at 2048 lanes), their temporary as much
+    assert (peak_bytes(16 * BASIN_BLOCK)
+            <= peak_bytes(2 * BASIN_BLOCK) + 64 * 1024)
 
 
 def test_basin_rejects_cfg_for_another_variant():
