@@ -9,20 +9,20 @@ from .dc_core import (DcModel, IterateRecord, SolveResult, SolverConfig,
 from .imaging import (NoiseSpec, PgmError, add_cauchy_noise,
                       make_squares_image, psnr, quantize_u8, re_err, read_pgm,
                       write_pgm)
-from .toy_problems import (BasinReport, QuadL1Problem, ScadSeparableProblem,
-                           basin_experiment, classify_attractor,
-                           quadl1_subproblem, write_basin_csv)
-from .tv_cauchy import (CauchyModel, GradientField, PdConfig, TvProxResult,
-                        div, energy, grad, grad_h_cauchy, tv, tv_prox)
+from .toy_problems import (LABELS, BasinReport, QuadL1Problem,
+                           ScadSeparableProblem, basin_experiment,
+                           classify_lanes, write_basin_csv)
+from .tv_cauchy import (CauchyModel, PdConfig, TvProxResult, div, energy,
+                        grad, grad_h_cauchy, tv, tv_prox)
 
 __all__ = [
-    "BasinReport", "CauchyModel", "DcModel", "GradientField", "IterateRecord",
+    "BasinReport", "CauchyModel", "DcModel", "IterateRecord", "LABELS",
     "NoiseSpec", "PdConfig", "PgmError", "QuadL1Problem",
     "ScadSeparableProblem", "SolveResult", "SolverConfig", "Status",
     "SubproblemError", "TvProxResult", "Variant", "add_cauchy_noise",
-    "basin_experiment", "bdca_line_search", "classify_attractor", "div",
+    "basin_experiment", "bdca_line_search", "classify_lanes", "div",
     "energy", "grad", "grad_h_cauchy", "ibdca_line_search",
-    "make_squares_image", "nmbdca_line_search", "psnr", "quadl1_subproblem",
-    "quantize_u8", "re_err", "read_pgm", "solve", "tv", "tv_prox",
-    "write_basin_csv", "write_pgm",
+    "make_squares_image", "nmbdca_line_search", "psnr", "quantize_u8",
+    "re_err", "read_pgm", "solve", "tv", "tv_prox", "write_basin_csv",
+    "write_pgm",
 ]

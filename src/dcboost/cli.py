@@ -29,8 +29,7 @@ import numpy as np
 
 from . import __version__
 from .dc_core import (SolverConfig, Status, SubproblemError, Variant,
-                      first_trial_step, format_float, solve, trace_header,
-                      trace_row)
+                      first_trial_step, solve)
 from .imaging import (NoiseSpec, add_cauchy_noise, make_squares_image, psnr,
                       quantize_u8, re_err, read_pgm, write_pgm)
 from .toy_problems import (LABELS, QuadL1Problem, ScadSeparableProblem,
@@ -202,6 +201,20 @@ def _ensure_out_dir(path):
     return out
 
 
+def _json_text(payload):
+    """RFC 8259 JSON text: a non-finite float is written as null."""
+    def strict(value):
+        if isinstance(value, dict):
+            return {key: strict(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [strict(item) for item in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+    return json.dumps(strict(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
 def _write_manifest(out_dir, command, flags, outputs, **extra):
     payload = {
         "command": command,
@@ -211,8 +224,31 @@ def _write_manifest(out_dir, command, flags, outputs, **extra):
         **extra,
     }
     path = out_dir / f"{command}_manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(payload))
     return path
+
+
+# trace CSV columns, one row per outer iteration, then the command's aux keys
+TRACE_COLUMNS = ("k", "phi", "d_norm", "lambda", "backtracks", "wall_time_s")
+
+
+def format_float(value):
+    """17 significant digits: every double reads back exactly."""
+    return format(float(value), ".17g")
+
+
+def trace_row(rec, aux_keys=()):
+    """One CSV row for a record; ``aux_keys`` columns read nan if missing."""
+    row = [
+        str(rec.k),
+        format_float(rec.phi),
+        format_float(rec.d_norm),
+        format_float(rec.lam),
+        str(rec.backtracks),
+        format_float(rec.wall_time),
+    ]
+    row.extend(format_float(rec.aux.get(key, float("nan"))) for key in aux_keys)
+    return ",".join(row)
 
 
 class _TraceStream:
@@ -229,7 +265,7 @@ class _TraceStream:
     def __call__(self, rec):
         if self.fh is None:
             self.fh = open(self.path, "w", newline="")
-            self.fh.write(trace_header(self.aux_keys) + "\n")
+            self.fh.write(",".join(TRACE_COLUMNS + self.aux_keys) + "\n")
         self.fh.write(trace_row(rec, self.aux_keys) + "\n")
         self.fh.flush()
 
@@ -341,7 +377,7 @@ def cmd_denoise(args):
     summary["inner_unconverged"] = sum(unconverged)
     summary["inner_converged_final"] = inner_ok = not any(unconverged[-1:])
     metrics_path = out_dir / "denoise_metrics.json"
-    metrics_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    metrics_path.write_text(_json_text(summary))
     outputs["metrics"] = metrics_path
 
     flags = {

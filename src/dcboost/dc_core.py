@@ -45,13 +45,10 @@ __all__ = [
     "Variant",
     "bdca_line_search",
     "first_trial_step",
-    "format_float",
     "ibdca_line_search",
     "nmbdca_line_search",
     "solve",
     "solve_lanes",
-    "trace_header",
-    "trace_row",
 ]
 
 
@@ -567,29 +564,3 @@ def solve(model, x0, cfg, on_record=None):
                        res.status[0], trace,
                        int(res.monotone_violations[0]),
                        int(res.linesearch_failures[0]))
-
-
-TRACE_COLUMNS = ("k", "phi", "d_norm", "lambda", "backtracks", "wall_time_s")
-
-
-def format_float(value):
-    """17 significant digits: every double reads back exactly."""
-    return format(float(value), ".17g")
-
-
-def trace_header(aux_keys=()):
-    return ",".join(TRACE_COLUMNS + tuple(aux_keys))
-
-
-def trace_row(rec, aux_keys=()):
-    """One CSV row for a record; ``aux_keys`` columns read nan if missing."""
-    row = [
-        str(rec.k),
-        format_float(rec.phi),
-        format_float(rec.d_norm),
-        format_float(rec.lam),
-        str(rec.backtracks),
-        format_float(rec.wall_time),
-    ]
-    row.extend(format_float(rec.aux.get(key, float("nan"))) for key in aux_keys)
-    return ",".join(row)

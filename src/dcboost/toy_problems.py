@@ -24,13 +24,12 @@ from .dc_core import (DcModel, SolverConfig, Variant, first_trial_step,  # noqa:
 __all__ = [
     "ATTRACTOR_LABELS",
     "BasinReport",
+    "LABELS",
     "QuadL1Problem",
     "ScadSeparableProblem",
     "basin_experiment",
-    "classify_attractor",
     "classify_lanes",
     "default_basin_config",
-    "quadl1_subproblem",
     "write_basin_csv",
 ]
 
@@ -38,21 +37,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # quadratic-plus-l1 problem
 # ---------------------------------------------------------------------------
-
-def soft_threshold_half(t):
-    """argmin_s of s^2 + |s| - t*s, i.e. sign(t) * max(|t| - 1, 0) / 2."""
-    return math.copysign(max(abs(t) - 1.0, 0.0) * 0.5, t)
-
-
-def quadl1_subproblem(x):
-    """Closed-form subproblem solution for :class:`QuadL1Problem`.
-
-    grad_h(x) = x there, so the subproblem separates into two scalar
-    soft thresholds: first coordinate s(5/2 + u), second s(v).
-    """
-    u, v = float(x[0]), float(x[1])
-    return np.array([soft_threshold_half(2.5 + u), soft_threshold_half(v)])
-
 
 class QuadL1Problem(DcModel):
     """phi(u,v) = -(5/2)u + (u^2+v^2)/2 + |u| + |v|, split as g - h with
@@ -73,7 +57,12 @@ class QuadL1Problem(DcModel):
         return -2.5 * u + 0.5 * (u * u + v * v) + abs(u) + abs(v)
 
     def solve_subproblem(self, x):
-        return quadl1_subproblem(x)
+        # grad_h(x) = x, so the subproblem separates into two scalar soft
+        # thresholds s(t) = sign(t) * max(|t| - 1, 0) / 2, the argmin of
+        # s^2 + |s| - t*s: first coordinate s(5/2 + u), second s(v)
+        u, v = float(x[0]), float(x[1])
+        return np.array([math.copysign(max(abs(t) - 1.0, 0.0) * 0.5, t)
+                         for t in (2.5 + u, v)])
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +125,18 @@ _G_AT_BREAKPOINTS = _scad_g_tilde_lanes(np.array([-2.0, 0.0, 2.0])).tolist()
 def _scad_subproblem_lanes(w):
     """argmin_t g~(t) - w*t elementwise: the best of the breakpoints and of
     the branches' stationary points inside their intervals.  A candidate
-    must be strictly smaller to replace the best: ties go to the first."""
+    must be strictly smaller to replace the best: ties go to the first.
+    A stationary point inside its interval is the minimizer, so it also
+    wins where its value overflows to inf - inf = nan (|w| above ~3e154).
+    """
     best = np.full_like(w, -2.0)
     best_val = _G_AT_BREAKPOINTS[0] - w * -2.0
 
-    def offer(t, val, valid=True):
+    def offer(t, val, inside=None):
         better = val < best_val
-        better &= valid
+        if inside is not None:
+            better |= np.isnan(val)
+            better &= inside
         np.copyto(best, t, where=better)
         np.copyto(best_val, val, where=better)
 
@@ -233,11 +227,6 @@ def classify_lanes(points):
         au, av = ATTRACTORS[i]
         labels[np.hypot(P[:, 0] - au, P[:, 1] - av) <= CLASSIFY_RADIUS] = i
     return labels
-
-
-def classify_attractor(point):
-    """Label of the attractor within the classification radius, else 'other'."""
-    return LABELS[classify_lanes(point)[0]]
 
 
 def default_basin_config(variant):

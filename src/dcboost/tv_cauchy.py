@@ -23,7 +23,6 @@ from .dc_core import DcModel, SubproblemError
 
 __all__ = [
     "CauchyModel",
-    "GradientField",
     "PdConfig",
     "TvProxResult",
     "div",
@@ -40,19 +39,14 @@ GRAD_NORM_SQ_BOUND = 8.0
 PD_STEP0 = 1.0 / math.sqrt(GRAD_NORM_SQ_BOUND)
 
 
-class GradientField(NamedTuple):
-    """Horizontal and vertical forward differences of a raster."""
-
-    px: np.ndarray
-    py: np.ndarray
-
-
 def grad(u, out=None):
-    """Forward differences, zero past the last column (px) / last row (py).
+    """Forward differences as one ``(2, *u.shape)`` array: px = out[0] is
+    zero past the last column, py = out[1] past the last row, and
+    ``px, py = grad(u)`` unpacks them.
 
-    With ``out`` (a float array of shape ``(2, *u.shape)``) the differences
-    are written into it, boundary zeros included, and the returned field
-    views it; nothing is allocated.
+    With ``out`` (a float array of that shape) the differences are written
+    into it, boundary zeros included, and it is returned; nothing is
+    allocated.
     """
     u = np.asarray(u, dtype=float)
     if out is None:
@@ -62,7 +56,7 @@ def grad(u, out=None):
     px[:, -1] = 0.0
     np.subtract(u[1:, :], u[:-1, :], out=py[:-1, :])
     py[-1, :] = 0.0
-    return GradientField(px, py)
+    return out
 
 
 def div(p, out=None):
@@ -249,6 +243,10 @@ class CauchyModel(DcModel):
             raise ValueError("observation contains non-finite entries")
         if not all(0.0 < v < math.inf for v in (mu, gamma, c)):
             raise ValueError("mu, gamma and c must be positive and finite")
+        if not 0.0 < float(gamma) * float(gamma) < math.inf:
+            # gamma ** 2 below would overflow or divide by zero
+            raise ValueError(f"gamma {gamma:g} is out of range: its square "
+                             "overflows or underflows")
         if c <= mu / gamma ** 2:
             raise ValueError(
                 f"need c > mu/gamma^2 for a strongly convex split "

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from dcboost.toy_problems import (ATTRACTOR_LABELS, ATTRACTORS,
+                                  CLASSIFY_RADIUS, OTHER_LABEL)
 from dcboost.tv_cauchy import PD_STEP0, TvProxResult, div, grad, tv
 
 
@@ -249,6 +251,16 @@ def scad_subproblem_1d(w):
     if t <= -2.0:
         candidates.append(t)
     return min(candidates, key=lambda s: scad_g_tilde(s) - w * s)
+
+
+def classify_point(point):
+    """Label of the first attractor within the classification radius of one
+    point, else 'other', tested attractor by attractor."""
+    u, v = (float(t) for t in point)
+    for (au, av), label in zip(ATTRACTORS, ATTRACTOR_LABELS):
+        if np.hypot(u - au, v - av) <= CLASSIFY_RADIUS:
+            return label
+    return OTHER_LABEL
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,8 @@ def test_criterion_7_operator_oracle_suite():
         u = rng.normal(size=(5, 7)) * rng.uniform(1.0, 100.0)
         px = rng.normal(size=(5, 7)) * rng.uniform(1.0, 100.0)
         py = rng.normal(size=(5, 7)) * rng.uniform(1.0, 100.0)
-        g = grad(u)
-        lhs = float(np.vdot(g.px, px) + np.vdot(g.py, py))
+        gx, gy = grad(u)
+        lhs = float(np.vdot(gx, px) + np.vdot(gy, py))
         rhs = -float(np.vdot(u, div((px, py))))
         scale = float(np.linalg.norm(u)
                       * math.hypot(np.linalg.norm(px), np.linalg.norm(py)))

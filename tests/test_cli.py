@@ -322,6 +322,31 @@ def test_denoise_noise_free_run_is_monotone(tmp_path, capsys):
         assert b <= a + 1e-8 * abs(a)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def test_denoise_json_outputs_write_non_finite_floats_as_null(tmp_path,
+                                                              capsys):
+    # noise-free: psnr_noisy is inf; infinite noise: the manifest's
+    # noise_gamma is inf.  Both files must stay strict JSON.
+    base = ["denoise", "--synthetic", "--size", "16x16", "--max-iter", "2"]
+    free, wild = tmp_path / "free", tmp_path / "wild"
+    code, out = run(capsys, *base, "--noise-gamma", "0",
+                    "--out-dir", str(free))
+    assert code == 0
+    assert "psnr_noisy=inf" in out.splitlines()
+    run(capsys, *base, "--noise-gamma", "inf", "--out-dir", str(wild))
+    parsed = {}
+    for run_dir in (free, wild):
+        for name in ("denoise_metrics.json", "denoise_manifest.json"):
+            parsed[run_dir.name, name] = json.loads(
+                (run_dir / name).read_text(), parse_constant=_reject_constant)
+    assert parsed["free", "denoise_metrics.json"]["psnr_noisy"] is None
+    assert parsed["wild", "denoise_manifest.json"]["flags"]["noise_gamma"] \
+        is None
+
+
 def test_denoise_input_mode(tmp_path, denoise_run, capsys):
     code, out = run(capsys, "denoise", "--input",
                     str(denoise_run / "noisy.pgm"), "--gamma", "3",

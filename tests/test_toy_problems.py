@@ -12,21 +12,23 @@ from hypothesis import given, settings, strategies as st
 import dcboost
 import oracles
 from dcboost import (QuadL1Problem, ScadSeparableProblem, Variant,
-                     basin_experiment, classify_attractor, quadl1_subproblem,
-                     solve, write_basin_csv)
+                     basin_experiment, solve, write_basin_csv)
 from dcboost import toy_problems
 from dcboost.dc_core import solve_lanes
 from dcboost.toy_problems import (ATTRACTOR_LABELS, ATTRACTORS, BASIN_BLOCK,
                                   CLASSIFY_RADIUS, LABELS, OTHER_LABEL,
                                   classify_lanes, default_basin_config)
-from oracles import (quadl1_criticality_gap, scad_criticality_gap,
-                     scad_g_tilde, scad_h_tilde, scad_h_tilde_prime,
-                     scad_phi_tilde, scad_subproblem_1d)
+from oracles import (classify_point, quadl1_criticality_gap,
+                     scad_criticality_gap, scad_g_tilde, scad_h_tilde,
+                     scad_h_tilde_prime, scad_phi_tilde, scad_subproblem_1d)
 
 
 # ---------------------------------------------------------------------------
 # quadratic-plus-l1: closed-form subproblem
 # ---------------------------------------------------------------------------
+
+quadl1_subproblem = QuadL1Problem().solve_subproblem
+
 
 def test_quadl1_subproblem_known_values():
     assert np.allclose(quadl1_subproblem([0.5, 1.0]), [1.0, 0.0],
@@ -215,6 +217,14 @@ def test_scad_methods_do_not_warn_on_huge_entries():
         assert model.phi([2e154, 0.0]) == np.inf
         assert model.phi_lanes(np.array([[-np.inf, np.inf]]))[0] == np.inf
         assert model.solve_subproblem([1e300, 0.0])[1] == 0.0
+        # the stationary point of |t| >= 2 wins though its value is
+        # inf - inf = nan
+        w = 1.0 + 0.4 * 1e300
+        assert (model.solve_subproblem([1e300, 0.0])[0]
+                == 5.0 * (w + 3.0) / 12.0)
+        w = -1.0 + 0.4 * -1e300
+        assert (model.solve_subproblem([-1e300, 0.0])[0]
+                == 5.0 * (w - 3.0) / 12.0)
 
 
 def test_scad_critical_points():
@@ -233,10 +243,13 @@ def test_rho_exposed():
 # ---------------------------------------------------------------------------
 
 def test_classify_attractor():
-    assert classify_attractor((0.0, 0.0)) == "(0,0)"
-    assert classify_attractor((2.0 + 5e-4, 0.0)) == "(2,0)"
-    assert classify_attractor((1.0, 1.0)) == OTHER_LABEL
-    assert classify_attractor((-2.0, 0.0)) == OTHER_LABEL
+    def label(point):
+        return LABELS[classify_lanes(point)[0]]
+
+    assert label((0.0, 0.0)) == "(0,0)"
+    assert label((2.0 + 5e-4, 0.0)) == "(2,0)"
+    assert label((1.0, 1.0)) == OTHER_LABEL
+    assert label((-2.0, 0.0)) == OTHER_LABEL
     points = [(2.0, 2.0), (np.nan, 0.0), (0.0, np.inf), (0.0, 2.0 - 5e-4)]
     assert classify_lanes(points).tolist() == [3, 4, 4, 1]
 
@@ -296,7 +309,7 @@ def test_basin_lanes_match_single_solves(variant, monkeypatch):
         assert lanes.outer_iterations[i] == len(single.trace)
         assert lanes.backtracks[i] == sum(r.backtracks for r in single.trace)
         assert lanes.linesearch_failures[i] == single.linesearch_failures
-        expected[classify_attractor(single.final_point)] += 1
+        expected[classify_point(single.final_point)] += 1
     if variant is Variant.BDCA:
         assert lanes.linesearch_failures.sum() > 0  # the Armijo floor fired
 
@@ -344,7 +357,7 @@ def test_any_lane_split_gives_the_whole_stack_results(variant, monkeypatch):
         whole = solve_lanes(model, np.array(starts), cfg)
         expected = dict.fromkeys(LABELS, 0)
         for point in whole.final_points:
-            expected[classify_attractor(point)] += 1
+            expected[classify_point(point)] += 1
         monkeypatch.setattr(toy_problems, "BASIN_BLOCK", block)
         split = basin_experiment(0, seed=0, variant=variant, points=starts)
         assert split.counts == expected
@@ -354,7 +367,7 @@ def test_any_lane_split_gives_the_whole_stack_results(variant, monkeypatch):
                     whole.linesearch_failures.sum()))
         points = np.vstack([whole.final_points, np.reshape(near, (-1, 2))])
         assert ([LABELS[i] for i in classify_lanes(points)]
-                == [classify_attractor(p) for p in points])
+                == [classify_point(p) for p in points])
 
     check()
 

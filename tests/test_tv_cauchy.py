@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from dcboost import (CauchyModel, NoiseSpec, PdConfig, SolverConfig, Variant,
                      add_cauchy_noise, div, energy, grad, grad_h_cauchy,
                      make_squares_image, quantize_u8, solve, tv, tv_prox)
+from dcboost.cli import DEFAULT_C, DEFAULT_MU, _denoise_defaults
 from dcboost.tv_cauchy import GRAD_NORM_SQ_BOUND, PD_STEP0
 from oracles import smooth_part_second_derivative
 
@@ -17,24 +19,24 @@ from oracles import smooth_part_second_derivative
 
 def test_grad_of_constant_is_zero():
     g = grad(np.full((5, 6), 7.0))
-    assert np.all(g.px == 0.0) and np.all(g.py == 0.0)
+    assert g.shape == (2, 5, 6) and np.all(g == 0.0)
 
 
 def test_grad_hand_example_2x2():
-    g = grad(np.array([[0.0, 1.0], [2.0, 3.0]]))
-    assert np.array_equal(g.px, [[1.0, 0.0], [1.0, 0.0]])
-    assert np.array_equal(g.py, [[2.0, 2.0], [0.0, 0.0]])
+    px, py = grad(np.array([[0.0, 1.0], [2.0, 3.0]]))
+    assert np.array_equal(px, [[1.0, 0.0], [1.0, 0.0]])
+    assert np.array_equal(py, [[2.0, 2.0], [0.0, 0.0]])
 
 
 def test_grad_vertical_edge():
     u = np.zeros((8, 8))
     u[:, 4:] = 255.0
-    g = grad(u)
-    assert np.all(g.px[:, 3] == 255.0)
+    px, py = grad(u)
+    assert np.all(px[:, 3] == 255.0)
     mask = np.ones(8, dtype=bool)
     mask[3] = False
-    assert np.all(g.px[:, mask] == 0.0)
-    assert np.all(g.py == 0.0)
+    assert np.all(px[:, mask] == 0.0)
+    assert np.all(py == 0.0)
 
 
 def test_div_of_zero_field():
@@ -50,8 +52,8 @@ def test_adjoint_identity_random_fields():
             u = rng.normal(size=shape)
             px = rng.normal(size=shape)
             py = rng.normal(size=shape)
-            g = grad(u)
-            lhs = float(np.vdot(g.px, px) + np.vdot(g.py, py))
+            gx, gy = grad(u)
+            lhs = float(np.vdot(gx, px) + np.vdot(gy, py))
             rhs = -float(np.vdot(u, div((px, py))))
             scale = np.linalg.norm(u) * math.hypot(np.linalg.norm(px),
                                                    np.linalg.norm(py))
@@ -71,7 +73,7 @@ def test_grad_div_out_bitwise_equal_allocating():
         p = rng.normal(size=(2,) + shape)
         gbuf = np.full((2,) + shape, np.nan)
         g = grad(u, out=gbuf)
-        assert np.shares_memory(g.px, gbuf) and np.shares_memory(g.py, gbuf)
+        assert g is gbuf
         for got, fresh, ref in zip(g, grad(u), oracles.grad_reference(u)):
             assert np.array_equal(_bits(got), _bits(fresh)), shape
             assert np.array_equal(_bits(got), _bits(ref)), shape
@@ -96,8 +98,8 @@ def test_grad_operator_norm_bound():
     rng = np.random.default_rng(29)
     for _ in range(50):
         u = rng.normal(size=(6, 9))
-        g = grad(u)
-        gnorm = float(np.vdot(g.px, g.px) + np.vdot(g.py, g.py))
+        gx, gy = grad(u)
+        gnorm = float(np.vdot(gx, gx) + np.vdot(gy, gy))
         assert gnorm <= GRAD_NORM_SQ_BOUND * float(np.vdot(u, u)) + 1e-12
 
 
@@ -278,6 +280,14 @@ def test_model_rejects_weak_convexity_shift():
         CauchyModel(f, mu=15.0, gamma=3.0, c=1.0)
 
 
+def test_model_rejects_gamma_whose_square_leaves_the_float_range():
+    f = np.full((4, 4), 100.0)
+    for gamma in (1e200, 1e155, 1e-200):
+        with pytest.raises(ValueError, match="gamma"):
+            CauchyModel(f, mu=15.0, gamma=gamma, c=1.0)
+    assert CauchyModel(f, mu=15.0, gamma=1e154, c=1.0).rho == 1.0
+
+
 def test_model_rejects_bad_observation():
     with pytest.raises(ValueError):
         CauchyModel(np.zeros(16), mu=15.0, gamma=3.0, c=1.83)
@@ -344,3 +354,30 @@ def test_outer_energy_monotone_on_small_denoise():
         phis = [rec.phi for rec in result.trace] + [result.final_phi]
         for a, b in zip(phis, phis[1:]):
             assert b <= a + 1e-8 * abs(a)
+
+
+@pytest.mark.parametrize("variant", [Variant.DCA, Variant.IBDCA])
+def test_outer_energy_monotone_on_random_noisy_rasters(variant):
+    # the restoration protocol at gamma 3 (mu, c and the outer settings the
+    # CLI resolves) on random rasters; phi may rise only within the 1e-8
+    # relative slack that monotone_violations allows
+    gamma = 3.0
+    mu = DEFAULT_MU[gamma]
+    c = DEFAULT_C[gamma, mu]
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=12)
+    @given(st.integers(8, 16), st.integers(8, 16),
+           st.integers(0, 2 ** 64 - 1))
+    def check(m, n, seed):
+        clean = np.random.default_rng(seed).integers(0, 256, (m, n))
+        noisy = quantize_u8(add_cauchy_noise(clean.astype(float),
+                                             NoiseSpec(gamma, seed)))
+        model = CauchyModel(noisy, mu, gamma, c)
+        result = solve(model, noisy, _denoise_defaults(variant, model.rho))
+        assert result.monotone_violations == 0
+        phis = [rec.phi for rec in result.trace] + [result.final_phi]
+        for a, b in zip(phis, phis[1:]):
+            assert b <= a + 1e-8 * max(1.0, abs(a))
+
+    check()
