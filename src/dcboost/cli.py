@@ -195,6 +195,12 @@ def _config_flags(cfg):
                for flag, field in _SOLVER_FLAGS.items()}}
 
 
+def _descent_premise(cfg, rho):
+    """Manifest fields: the model's modulus rho, and whether alpha exceeds
+    it, which voids the monotone descent IBDCA's line search relies on."""
+    return {"rho": rho, "alpha_exceeds_rho": cfg.alpha > rho}
+
+
 def _ensure_out_dir(path):
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,7 +290,8 @@ def cmd_toy(args):
 
     flags = {"example": args.example, "x0": list(args.x0),
              "out_dir": str(out_dir), **_config_flags(cfg)}
-    _write_manifest(out_dir, "toy", flags, {"trace": trace_path})
+    _write_manifest(out_dir, "toy", flags, {"trace": trace_path},
+                    **_descent_premise(cfg, model.rho))
 
     u, v = (format_float(t) for t in result.final_point)
     print(f"final_point=({u},{v}) phi={format_float(result.final_phi)} "
@@ -305,7 +312,8 @@ def cmd_basin(args):
               "backtracks": report.backtracks,
               "linesearch_failures": report.linesearch_failures}
     _write_manifest(out_dir, "basin", flags, {"report": csv_path},
-                    totals=totals)
+                    totals=totals,
+                    **_descent_premise(cfg, ScadSeparableProblem.rho))
 
     for label in LABELS:
         count = report.counts.get(label, 0)
@@ -386,7 +394,8 @@ def cmd_denoise(args):
         "inner_max_iter": inner.max_inner_iter, "inner_tol": inner.tol_inner,
         "out_dir": str(out_dir), **_config_flags(cfg),
     }
-    _write_manifest(out_dir, "denoise", flags, outputs)
+    _write_manifest(out_dir, "denoise", flags, outputs,
+                    **_descent_premise(cfg, model.rho))
 
     for key, value in sorted(summary.items()):
         text = format_float(value) if isinstance(value, float) else value

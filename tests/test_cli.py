@@ -88,6 +88,7 @@ def test_toy_invalid_flags_exit_2():
     ["denoise", "--synthetic", "--size", "16x16", "--c", "inf"],
     ["denoise", "--input", "no/such/observation.pgm"],
     ["denoise", "--synthetic", "--size", "16x16", "--inner-max-iter", "0"],
+    ["denoise", "--synthetic", "--size", "16x16", "--inner-tol", "inf"],
     ["denoise", "--synthetic", "--size", "16x16", "--tol-direction", "nan"],
     ["basin", "--n", "10", "--alpha", "inf"],
     ["basin", "--n", "10", "--seed", str(2 ** 128)],
@@ -196,6 +197,27 @@ def test_toy_max_iterations_is_failure(tmp_path, capsys):
     code, _ = run(capsys, "toy", "--example", "quadl1", "--x0", "0.5,1",
                   "--max-iter", "2", "--out-dir", str(tmp_path))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, rho, exceeds", [
+    (["toy", "--example", "quadl1", "--x0", "0.5,1"], 1.0, False),
+    (["basin", "--n", "20", "--alpha", "0.5"], 0.4, True),
+    (["denoise", "--synthetic", "--size", "16x16", "--max-iter", "2"],
+     1.83 - 15.0 / 9.0, False),
+    (["denoise", "--synthetic", "--size", "16x16", "--max-iter", "2",
+      "--alpha", "5"], 1.83 - 15.0 / 9.0, True),
+])
+def test_manifest_flags_alpha_above_rho(argv, rho, exceeds, tmp_path,
+                                        capsys):
+    # IBDCA's monotone descent needs alpha <= rho; the run goes ahead either
+    # way, with stdout unchanged, and the manifest says which case it was
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "rho" not in out
+    manifest = json.loads(
+        (tmp_path / f"{argv[0]}_manifest.json").read_text())
+    assert manifest["rho"] == pytest.approx(rho, rel=1e-15)
+    assert manifest["alpha_exceeds_rho"] is exceeds
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,52 @@ def test_tv_prox_bitwise_matches_allocating_reference():
             assert 1000 < got.iters < 5000 and got.converged, case
 
 
+def test_tv_prox_and_operators_bitwise_equal_whatever_the_layout():
+    # tv_prox and grad/div work on flat views of C-ordered buffers; a
+    # Fortran-ordered or strided input must neither change the bits nor,
+    # through a reshape that copies, lose the writes into a buffer
+    rng = np.random.default_rng(53)
+    cut = PdConfig(max_inner_iter=7)
+    runs = []
+    for shape in ((9, 6), (1, 6), (6, 1), (2, 1)):
+        v = 10.0 * rng.normal(size=shape)
+        start = rng.normal(size=shape)
+        strided = np.empty((2 * shape[0], 3 * shape[1]))
+        strided[::2, 1::3] = v
+        for cfg in (PdConfig(), cut):
+            runs += [(v, start, cfg), (v, np.asfortranarray(start), cfg),
+                     (np.asfortranarray(v), None, cfg),
+                     (np.asfortranarray(v), start, cfg),
+                     (strided[::2, 1::3], None, cfg)]
+    for v, u0, cfg in runs:
+        got = tv_prox(v, 0.7, cfg, u0=u0)
+        # the reference on C-ordered copies: np.linalg.norm sums in memory
+        # order, so its resid follows the layout
+        want = oracles.tv_prox_reference(
+            np.ascontiguousarray(v), 0.7, cfg,
+            u0=None if u0 is None else np.ascontiguousarray(u0))
+        case = (v.shape, v.flags.c_contiguous,
+                u0 is None or u0.flags.c_contiguous, cfg)
+        assert np.array_equal(_bits(got.u), _bits(want.u)), case
+        assert got.iters == want.iters, case
+        assert _bits(got.resid) == _bits(want.resid), case
+        assert got.converged is want.converged, case
+
+    for shape in ((5, 7), (1, 6), (6, 1), (2, 1)):
+        m, n = shape
+        u = rng.normal(size=shape)
+        p = rng.normal(size=(2,) + shape)
+        gbuf = np.full((2, n, m), np.nan).transpose(0, 2, 1)
+        assert grad(np.asfortranarray(u), out=gbuf) is gbuf
+        for got, ref in zip(gbuf, oracles.grad_reference(u)):
+            assert np.array_equal(_bits(got), _bits(ref)), shape
+        dbuf = np.full((n, m), np.nan).T
+        fortran_pair = (np.asfortranarray(p[0]), np.asfortranarray(p[1]))
+        assert div(fortran_pair, out=dbuf) is dbuf
+        assert np.array_equal(_bits(dbuf), _bits(oracles.div_reference(p))), \
+            shape
+
+
 def test_tv_prox_nonconvergence_flag():
     rng = np.random.default_rng(43)
     v = rng.normal(size=(8, 8)) * 10.0
@@ -251,6 +297,10 @@ def test_pd_config_validation():
         PdConfig(max_inner_iter=0)
     with pytest.raises(ValueError):
         PdConfig(tol_inner=0.0)
+    # an infinite tolerance would stop every inner solve after one step
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            PdConfig(tol_inner=bad)
     # a non-integral count fails here, not later inside range()
     for bad in (2.5, 3.0, np.float64(4.0)):
         with pytest.raises(ValueError, match="integer"):
