@@ -76,43 +76,18 @@ def _c_float(a):
     return np.ascontiguousarray(a, dtype=float)
 
 
-def grad(u, out=None):
-    """Forward differences as one ``(2, *u.shape)`` array: px = out[0] is
-    zero past the last column, py = out[1] past the last row, and
-    ``px, py = grad(u)`` unpacks them.
-
-    With ``out`` (a float array of that shape) the differences are written
-    into it, boundary zeros included, and it is returned; nothing is
-    allocated when ``out`` is C-contiguous.
-    """
-    u = _c_float(u)
-    g = out if out is not None and out.flags.c_contiguous else np.empty(
-        (2,) + u.shape)
-    uv, gx, gy = _flat(u), _flat(g[0]), _flat(g[1])
-    np.subtract(uv.right, uv.left, out=gx.left)
+def _grad_into(u, gx, gy):
+    """Forward differences of the :class:`_Flat` views ``u`` into ``gx``
+    (zero past the last column) and ``gy`` (zero past the last row)."""
+    np.subtract(u.right, u.left, out=gx.left)
     gx.col_last.fill(0.0)  # row-crossing differences land here
-    np.subtract(uv.below, uv.above, out=gy.above)
+    np.subtract(u.below, u.above, out=gy.above)
     gy.row_last.fill(0.0)
-    if out is None or g is out:
-        return g
-    out[...] = g
-    return out
 
 
-def div(p, out=None):
-    """Negative adjoint of :func:`grad`: <grad u, p> = -<u, div p> exactly.
-
-    Backward differences with boundary truncation; values on the last column
-    of px and last row of py never contribute (grad never produces them).
-    ``p`` is a pair (px, py), or one array of shape ``(2, m, n)``.  With
-    ``out`` (a float array of shape ``(m, n)``) the result is written into
-    it, every entry overwritten, and returned; nothing is allocated when
-    ``out`` and px, py are C-contiguous and n > 1.
-    """
-    px, py = (_c_float(q) for q in p)
-    d = out if out is not None and out.flags.c_contiguous else np.empty(
-        px.shape)
-    px, py, o = _flat(px), _flat(py), _flat(d)
+def _div_into(px, py, o):
+    """Divergence of the :class:`_Flat` views ``px``, ``py`` into ``o``,
+    every entry overwritten."""
     # Interior columns are px[:, j] - px[:, j-1], bitwise equal to the
     # zero-filled sum (0 + px[:, j]) - px[:, j-1] unless px[:, j] is -0.0.
     # tv_prox feeds none: its p starts at +0.0, x + y is -0.0 only when
@@ -124,10 +99,33 @@ def div(p, out=None):
     np.subtract(0.0, px.col_penult, out=o.col_last)
     np.add(o.above, py.above, out=o.above)
     np.subtract(o.below, py.above, out=o.below)
-    if out is None or d is out:
-        return d
-    out[...] = d
-    return out
+
+
+def grad(u):
+    """Forward differences as one ``(2, *u.shape)`` array: px = g[0] is
+    zero past the last column, py = g[1] past the last row, and
+    ``px, py = grad(u)`` unpacks them."""
+    u = _c_float(u)
+    g = np.empty((2,) + u.shape)
+    # the pass differences across row ends before overwriting those entries,
+    # so same-signed infinities there would warn though no result is NaN
+    with np.errstate(invalid="ignore"):
+        _grad_into(_flat(u), _flat(g[0]), _flat(g[1]))
+    return g
+
+
+def div(p):
+    """Negative adjoint of :func:`grad`: <grad u, p> = -<u, div p> exactly.
+
+    Backward differences with boundary truncation; values on the last column
+    of px and last row of py never contribute (grad never produces them).
+    ``p`` is a pair (px, py), or one array of shape ``(2, m, n)``.
+    """
+    px, py = (_c_float(q) for q in p)
+    d = np.empty(px.shape)
+    with np.errstate(invalid="ignore"):  # row-crossing entries, as in grad
+        _div_into(_flat(px), _flat(py), _flat(d))
+    return d
 
 
 def tv(u):
@@ -199,13 +197,14 @@ def tv_prox(v, c, cfg=None, u0=None):
     relative change of u_hat; when max_inner_iter is reached first the best
     iterate comes back flagged ``converged=False``.
 
-    The loop allocates no arrays and calls neither grad nor div.  Its eight
-    raster buffers are made once per call, C-ordered whatever the layout of
-    ``v`` and ``u0``, and each is reached through flat views built once
-    (:class:`_Flat`): a difference is then one contiguous pass, its boundary
-    entries rewritten through strided column and row views, and the dual is
-    one ``(2, m, n)`` array, so each dual step is one call.  The swapping
-    buffer pairs swap their views with them.  Every step writes with
+    The loop allocates no arrays.  Its eight raster buffers are made once
+    per call, C-ordered whatever the layout of ``v`` and ``u0``, and each is
+    reached through flat views built once (:class:`_Flat`); the differences
+    are the in-place step helpers that :func:`grad` and :func:`div` call
+    too, each one contiguous pass with its boundary entries rewritten
+    through strided column and row views.  The dual is one ``(2, m, n)``
+    array, so each dual step is one call, and the swapping buffer pairs
+    swap their views with them.  Every step writes with
     ``out=`` in the operation order of the plain allocating loop (kept in
     the tests as the reference), and the norms are ``sqrt(f.dot(f))``, the
     sum ``np.linalg.norm`` forms, so the result is bitwise equal to it.
@@ -216,6 +215,9 @@ def tv_prox(v, c, cfg=None, u0=None):
     v = _c_float(v)
     u = v / c if u0 is None else np.array(u0, dtype=float, copy=True,
                                           order="C")
+    if u.shape != v.shape:  # the flat views would see only the sizes
+        raise ValueError(f"u0 shape {u.shape} does not match v shape "
+                         f"{v.shape}")
     # Eight raster-sized buffers, made once; each step below writes with
     # out= in the operation order of the plain expression in its comment.
     # The rasters come before the dual pair: allocated after it, the u_hat
@@ -237,11 +239,7 @@ def tv_prox(v, c, cfg=None, u0=None):
     converged = False
     iters = 0
     for iters in range(1, cfg.max_inner_iter + 1):
-        # g = grad(ubar): px zeroed on the last column, py on the last row
-        np.subtract(ub.right, ub.left, out=gx.left)
-        gx.col_last.fill(0.0)
-        np.subtract(ub.below, ub.above, out=gy.above)
-        gy.row_last.fill(0.0)
+        _grad_into(ub, gx, gy)  # g = grad(ubar)
         # p = (p + sigma*g) / max(1, sqrt(px*px + py*py))
         np.multiply(g, sigma, out=g)
         np.add(p, g, out=p)
@@ -251,13 +249,8 @@ def tv_prox(v, c, cfg=None, u0=None):
         np.maximum(s, 1.0, out=s)
         np.divide(p2, s, out=p2)
 
-        # u_hat = div(p), in div's steps
         uh, uhp = uhp, uh
-        np.subtract(px.right, px.left, out=uh.right)
-        np.add(0.0, px.col_first, out=uh.col_first)
-        np.subtract(0.0, px.col_penult, out=uh.col_last)
-        np.add(uh.above, py.above, out=uh.above)
-        np.subtract(uh.below, py.above, out=uh.below)
+        _div_into(px, py, uh)  # u_hat = div(p)
         # u_next = (u + tau*divp + tau*v) / (1 + tau*c), over ubar (read
         # for the last time by grad above)
         u_next = ub.flat

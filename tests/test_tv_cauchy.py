@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from dcboost import (CauchyModel, NoiseSpec, PdConfig, SolverConfig, Variant,
                      add_cauchy_noise, div, energy, grad, grad_h_cauchy,
                      make_squares_image, quantize_u8, solve, tv, tv_prox)
 from dcboost.cli import DEFAULT_C, DEFAULT_MU, _denoise_defaults
+from dcboost.dc_core import solve_lanes
 from dcboost.tv_cauchy import GRAD_NORM_SQ_BOUND, PD_STEP0
 from oracles import smooth_part_second_derivative
 
@@ -64,24 +66,29 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def test_grad_div_out_bitwise_equal_allocating():
-    # NaN-filled buffers show that every entry, the zero boundary row and
-    # column included, is rewritten: tv_prox reuses grad's buffer as scratch
+def test_grad_div_bitwise_equal_oracles():
+    # the one-pass differences rewrite the row-crossing entries and the
+    # boundary row and column; every entry must come out as the oracles'
     rng = np.random.default_rng(19)
     for shape in ((5, 7), (2, 2), (1, 6), (6, 1), (1, 1)):
         u = rng.normal(size=shape)
         p = rng.normal(size=(2,) + shape)
-        gbuf = np.full((2,) + shape, np.nan)
-        g = grad(u, out=gbuf)
-        assert g is gbuf
-        for got, fresh, ref in zip(g, grad(u), oracles.grad_reference(u)):
-            assert np.array_equal(_bits(got), _bits(fresh)), shape
+        for got, ref in zip(grad(u), oracles.grad_reference(u)):
             assert np.array_equal(_bits(got), _bits(ref)), shape
-        dbuf = np.full(shape, np.nan)
-        assert div(p, out=dbuf) is dbuf
-        assert np.array_equal(_bits(dbuf), _bits(div((p[0], p[1])))), shape
-        assert np.array_equal(_bits(dbuf), _bits(oracles.div_reference(p))), \
-            shape
+        want = _bits(oracles.div_reference(p))
+        assert np.array_equal(_bits(div(p)), want), shape
+        assert np.array_equal(_bits(div((p[0], p[1]))), want), shape
+
+
+def test_grad_div_of_row_crossing_infinities_match_oracles_quietly():
+    # the contiguous passes difference u[i+1, 0] - u[i, n-1] before
+    # overwriting it: inf - inf there must neither warn (the suite turns
+    # warnings into errors) nor reach the result
+    u = np.array([[0.0, math.inf], [math.inf, 0.0]])
+    for got, ref in zip(grad(u), oracles.grad_reference(u)):
+        assert np.array_equal(_bits(got), _bits(ref))
+    p = (u, np.zeros((2, 2)))
+    assert np.array_equal(_bits(div(p)), _bits(oracles.div_reference(p)))
 
 
 def test_div_grad_spike_is_discrete_laplacian():
@@ -268,15 +275,16 @@ def test_tv_prox_and_operators_bitwise_equal_whatever_the_layout():
         m, n = shape
         u = rng.normal(size=shape)
         p = rng.normal(size=(2,) + shape)
-        gbuf = np.full((2, n, m), np.nan).transpose(0, 2, 1)
-        assert grad(np.asfortranarray(u), out=gbuf) is gbuf
-        for got, ref in zip(gbuf, oracles.grad_reference(u)):
-            assert np.array_equal(_bits(got), _bits(ref)), shape
-        dbuf = np.full((n, m), np.nan).T
+        strided = np.empty((3, 2 * m, 3 * n))
+        strided[:2, ::2, 1::3] = p
+        strided[2, ::2, 1::3] = u
+        for layout in (np.asfortranarray(u), strided[2, ::2, 1::3]):
+            for got, ref in zip(grad(layout), oracles.grad_reference(u)):
+                assert np.array_equal(_bits(got), _bits(ref)), shape
+        want = _bits(oracles.div_reference(p))
         fortran_pair = (np.asfortranarray(p[0]), np.asfortranarray(p[1]))
-        assert div(fortran_pair, out=dbuf) is dbuf
-        assert np.array_equal(_bits(dbuf), _bits(oracles.div_reference(p))), \
-            shape
+        for layout in (fortran_pair, strided[:2, ::2, 1::3]):
+            assert np.array_equal(_bits(div(layout)), want), shape
 
 
 def test_tv_prox_nonconvergence_flag():
@@ -285,6 +293,17 @@ def test_tv_prox_nonconvergence_flag():
     res = tv_prox(v, c=0.5, cfg=PdConfig(max_inner_iter=2, tol_inner=1e-14))
     assert not res.converged
     assert res.iters == 2
+
+
+def test_tv_prox_rejects_u0_of_another_shape():
+    # the flat views see only sizes: a same-sized u0 of another shape
+    # would otherwise mix the two layouts
+    v = np.zeros((3, 4))
+    for shape in ((4, 3), (2, 6)):
+        with pytest.raises(ValueError) as excinfo:
+            tv_prox(v, 1.0, u0=np.zeros(shape))
+        assert str(shape) in str(excinfo.value)
+        assert str(v.shape) in str(excinfo.value)
 
 
 def test_tv_prox_rejects_nonpositive_c():
@@ -431,3 +450,31 @@ def test_outer_energy_monotone_on_random_noisy_rasters(variant):
             assert b <= a + 1e-8 * max(1.0, abs(a))
 
     check()
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_raster_lanes_match_single_solves(variant):
+    # two starts of one 16x16 restoration in lockstep, through the stacked
+    # phi_lanes and subproblem_lanes defaults, with several rungs per
+    # phi_lanes call: each lane must compute what its start alone computes
+    gamma = 3.0
+    f = quantize_u8(add_cauchy_noise(make_squares_image(16, 16),
+                                     NoiseSpec(gamma, seed=7)))
+    model = CauchyModel(f, mu=15.0, gamma=gamma, c=1.83)
+    cfg = dataclasses.replace(_denoise_defaults(variant, model.rho),
+                              max_outer_iter=25)
+    jitter = np.random.default_rng(61).normal(0.0, 20.0, size=f.shape)
+    starts = np.stack([f, np.clip(f + jitter, 0.0, 255.0)])
+    records = {}
+    lanes = solve_lanes(model, starts, cfg, on_record=lambda lane, rec:
+                        records.setdefault(lane, []).append(rec))
+    for i, start in enumerate(starts):
+        single = solve(model, start, cfg)
+        assert np.array_equal(_bits(lanes.final_points[i]),
+                              _bits(single.final_point)), i
+        assert lanes.status[i] is single.status, i
+        assert lanes.outer_iterations[i] == len(single.trace), i
+        assert ([(r.k, r.phi, r.lam, r.backtracks, r.aux["inner_iters"])
+                 for r in records[i]]
+                == [(r.k, r.phi, r.lam, r.backtracks, r.aux["inner_iters"])
+                    for r in single.trace]), i
