@@ -71,7 +71,8 @@ class SubproblemError(RuntimeError):
     """The convex subproblem solver produced unusable output.
 
     Carries the inner residual (when known) and the partial outer trace so a
-    failed run can still be inspected.
+    failed run can still be inspected; like every returned record, those of
+    the partial trace hold no iterate (``x`` is None).
     """
 
     def __init__(self, message, residual=float("nan"), trace=None):
@@ -192,10 +193,14 @@ class IterateRecord:
     terminal record of a critical-point stop has ``lam == 0`` (no step was
     taken).  ``wall_time`` is seconds since the solve started.  ``aux``
     carries model diagnostics such as inner-solver iteration counts.
+
+    ``x`` is the iterate only while ``on_record`` runs and None once it
+    returns, so kept records pin no points; callers who need iterates keep
+    them in ``on_record``.
     """
 
     k: int
-    x: np.ndarray
+    x: np.ndarray | None
     phi: float
     d_norm: float
     lam: float
@@ -444,7 +449,8 @@ def solve_lanes(model, X0, cfg, on_record=None):
     start alone.
 
     ``on_record(lane, record)``, when given, receives each lane's
-    :class:`IterateRecord` as it is produced.  Raises
+    :class:`IterateRecord` as it is produced; its ``x`` is valid only
+    during that call and None afterwards.  Raises
     :class:`SubproblemError` when the subproblem solver breaks down on any
     lane.
     """
@@ -466,9 +472,11 @@ def solve_lanes(model, X0, cfg, on_record=None):
     def emit(k, rows, lam, bt):
         wall = time.perf_counter() - t0
         for j, lam_j, bt_j in zip(rows, lam, bt):
-            on_record(int(lanes[j]), IterateRecord(
+            record = IterateRecord(
                 k, x[j], float(phi_x[j]), float(d_norm[j]), float(lam_j),
-                int(bt_j), wall, dict(infos[j])))
+                int(bt_j), wall, dict(infos[j]))
+            on_record(int(lanes[j]), record)
+            record.x = None  # a kept record must not pin its iterate
 
     def retire(stop, status):
         # lanes flagged in ``stop`` end at their current point
@@ -532,7 +540,7 @@ def solve(model, x0, cfg, on_record=None):
     """Run the configured variant from x0 until a stopping rule fires.
 
     This is :func:`solve_lanes` with one lane.  Per iteration the subproblem
-    is solved once; the trace gets one record per iteration holding the
+    is solved once; the trace gets one record per iteration describing the
     iterate at its start and the accepted step.  For DCA and IBDCA the phi
     column of the trace is nonincreasing; violations beyond 1e-8 relative
     (possible only through inexact subproblems) are counted in
@@ -542,7 +550,9 @@ def solve(model, x0, cfg, on_record=None):
 
     ``on_record`` is called with each record as it is produced, which lets
     callers stream trace rows to disk so partial results survive an
-    interrupted run.
+    interrupted run.  A record's ``x`` is the iterate only during that call:
+    the returned trace holds no iterates, so memory stays flat in outer
+    iterations, and callers who need them keep them in ``on_record``.
 
     Raises :class:`SubproblemError` with the partial trace attached when the
     subproblem solver breaks down.

@@ -72,8 +72,13 @@ def _flat(x):
                  flat[n - 1::n], penult, flat[-n:])
 
 
-def _c_float(a):
-    return np.ascontiguousarray(a, dtype=float)
+def _raster(a, name):
+    """``a`` as a C-ordered 2-D float raster, the input the flat views need."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a 2-D raster, shape (m, n); got "
+                         f"shape {a.shape}")
+    return np.ascontiguousarray(a)
 
 
 def _grad_into(u, gx, gy):
@@ -105,7 +110,7 @@ def grad(u):
     """Forward differences as one ``(2, *u.shape)`` array: px = g[0] is
     zero past the last column, py = g[1] past the last row, and
     ``px, py = grad(u)`` unpacks them."""
-    u = _c_float(u)
+    u = _raster(u, "u")
     g = np.empty((2,) + u.shape)
     # the pass differences across row ends before overwriting those entries,
     # so same-signed infinities there would warn though no result is NaN
@@ -121,7 +126,10 @@ def div(p):
     of px and last row of py never contribute (grad never produces them).
     ``p`` is a pair (px, py), or one array of shape ``(2, m, n)``.
     """
-    px, py = (_c_float(q) for q in p)
+    px, py = (_raster(q, "each of px, py in p") for q in p)
+    if px.shape != py.shape:  # the flat views would see only the lengths
+        raise ValueError(f"px shape {px.shape} and py shape {py.shape} in p "
+                         "differ")
     d = np.empty(px.shape)
     with np.errstate(invalid="ignore"):  # row-crossing entries, as in grad
         _div_into(_flat(px), _flat(py), _flat(d))
@@ -212,7 +220,7 @@ def tv_prox(v, c, cfg=None, u0=None):
     if not 0.0 < 2.0 * c < math.inf:  # the step update forms 2*c*tau
         raise ValueError("c must be positive, with 2c finite")
     cfg = PdConfig() if cfg is None else cfg
-    v = _c_float(v)
+    v = _raster(v, "v")
     u = v / c if u0 is None else np.array(u0, dtype=float, copy=True,
                                           order="C")
     if u.shape != v.shape:  # the flat views would see only the sizes

@@ -14,12 +14,15 @@ smooth part and the criticality gaps dist(grad_h(x), subdiff g(x)) are
 test oracles too: the solvers never need them.  The TV primal-dual loop is
 kept here in its plain allocating form, each step a fresh array, as the
 reference that the library's preallocated kernel must match bit for bit.
+Last, :func:`solve_keeping_iterates` keeps the iterates of a solve for the
+tests that re-check each step from its start point.
 """
 
 import math
 
 import numpy as np
 
+from dcboost.dc_core import solve
 from dcboost.toy_problems import (ATTRACTOR_LABELS, ATTRACTORS,
                                   CLASSIFY_RADIUS, OTHER_LABEL)
 from dcboost.tv_cauchy import PD_STEP0, TvProxResult, div, grad, tv
@@ -350,3 +353,14 @@ def smooth_part_second_derivative(t, mu, gamma, c):
     t = np.asarray(t, dtype=float)
     g2 = gamma * gamma
     return mu * (t * t - g2) / (g2 + t * t) ** 2 + c
+
+
+def solve_keeping_iterates(model, x0, cfg):
+    """``solve`` plus the iterate x^k of each record, as ``(result, xs)``.
+
+    A record's ``x`` is valid only while ``on_record`` runs, so the
+    iterates are kept there; the arrays are the solver's own, not copies.
+    """
+    xs = []
+    result = solve(model, x0, cfg, on_record=lambda rec: xs.append(rec.x))
+    return result, xs

@@ -20,7 +20,7 @@ from dcboost import (CauchyModel, NoiseSpec, PdConfig, QuadL1Problem,
                      make_squares_image, psnr, quantize_u8, re_err, solve,
                      tv_prox)
 from dcboost.tv_cauchy import div
-from oracles import smooth_part_second_derivative
+from oracles import smooth_part_second_derivative, solve_keeping_iterates
 
 REL_TOL = 1e-8  # monotonicity slack, attributable only to inner inexactness
 
@@ -40,16 +40,21 @@ def _best_of(fn, repeats=5):
 
 @pytest.fixture(scope="module")
 def toy_runs():
+    # (model, cfg, result, iterates of the records)
     runs = []
     quad = QuadL1Problem()
     cfg_quad = SolverConfig(variant=Variant.IBDCA, alpha=0.2, beta=0.5,
                             lambda_bar=2.0)
-    runs.append((quad, cfg_quad, solve(quad, np.array([0.5, 1.0]), cfg_quad)))
+    runs.append((quad, cfg_quad,
+                 *solve_keeping_iterates(quad, np.array([0.5, 1.0]),
+                                         cfg_quad)))
     scad = ScadSeparableProblem()
     for variant in (Variant.IBDCA, Variant.DCA):
         cfg = SolverConfig(variant=variant, alpha=0.2, beta=0.7,
                            lambda_bar=3.0)
-        runs.append((scad, cfg, solve(scad, np.array([2.2, 0.4]), cfg)))
+        runs.append((scad, cfg,
+                     *solve_keeping_iterates(scad, np.array([2.2, 0.4]),
+                                             cfg)))
     return runs
 
 
@@ -59,16 +64,17 @@ def denoise_runs():
     noisy = quantize_u8(add_cauchy_noise(clean, NoiseSpec(gamma=3.0, seed=7)))
     model = CauchyModel(noisy, mu=15.0, gamma=3.0, c=1.83)
     t0 = time.perf_counter()
-    runs = {}
+    runs, iterates = {}, {}
     for variant, lam_bar in ((Variant.DCA, 10.0), (Variant.NMBDCA, 9.0),
                              (Variant.IBDCA, 10.0)):
         cfg = SolverConfig(variant=variant, alpha=0.9 * model.rho, beta=0.5,
                            lambda_bar=lam_bar, max_outer_iter=200,
                            tol_rel_energy=5e-4, tol_direction=1e-6)
-        runs[variant] = (cfg, solve(model, noisy, cfg))
+        result, iterates[variant] = solve_keeping_iterates(model, noisy, cfg)
+        runs[variant] = (cfg, result)
     elapsed = time.perf_counter() - t0
     return {"clean": clean, "noisy": noisy, "model": model, "runs": runs,
-            "elapsed": elapsed}
+            "iterates": iterates, "elapsed": elapsed}
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +190,11 @@ def test_criterion_6_monotonicity_suite(toy_runs, denoise_runs):
     model = denoise_runs["model"]
     for variant in (Variant.DCA, Variant.IBDCA):
         cfg, result = denoise_runs["runs"][variant]
-        suites.append((model, cfg, result))
+        suites.append((model, cfg, result, denoise_runs["iterates"][variant]))
 
     checked_traces = 0
     checked_steps = 0
-    for mdl, cfg, result in suites:
+    for mdl, cfg, result, xs in suites:
         if cfg.variant not in (Variant.DCA, Variant.IBDCA):
             continue
         assert result.monotone_violations == 0
@@ -198,10 +204,10 @@ def test_criterion_6_monotonicity_suite(toy_runs, denoise_runs):
         if cfg.variant is Variant.IBDCA:
             # recompute the subproblem point from each stored iterate and
             # verify both acceptance inequalities post hoc
-            for rec, phi_next in zip(result.trace, phis[1:]):
+            for rec, x, phi_next in zip(result.trace, xs, phis[1:]):
                 if rec.lam == 0.0:
                     continue
-                y = mdl.solve_subproblem(rec.x)
+                y = mdl.solve_subproblem(x)
                 slack = REL_TOL * max(1.0, abs(rec.phi))
                 assert phi_next <= (rec.phi
                                     - cfg.alpha * rec.lam * rec.d_norm ** 2

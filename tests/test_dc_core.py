@@ -7,13 +7,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from dcboost import (QuadL1Problem, ScadSeparableProblem, SolverConfig,
-                     Status, SubproblemError, Variant, bdca_line_search,
-                     ibdca_line_search, nmbdca_line_search, solve)
+from dcboost import (CauchyModel, NoiseSpec, QuadL1Problem,
+                     ScadSeparableProblem, SolverConfig, Status,
+                     SubproblemError, Variant, add_cauchy_noise,
+                     bdca_line_search, ibdca_line_search, make_squares_image,
+                     nmbdca_line_search, quantize_u8, solve)
 from dcboost.cli import _TraceStream
 from dcboost.dc_core import DcModel, solve_lanes
 from oracles import (quadl1_criticality_gap, scad_criticality_gap,
-                     scad_h_tilde_prime)
+                     scad_h_tilde_prime, solve_keeping_iterates)
 
 
 class QuadraticModel(DcModel):
@@ -327,16 +329,39 @@ def test_line_search_memory_flat_in_max_backtracks():
             == [r.backtracks for r in shallow.trace])
 
 
+def test_solve_memory_flat_in_outer_iterations():
+    # a 64x64 raster is 32 KiB: 60 more outer iterations must not keep 60
+    # more of them; the kept records cost some 480 B each
+    clean = make_squares_image(64, 64)
+    noisy = quantize_u8(add_cauchy_noise(clean, NoiseSpec(gamma=3.0, seed=7)))
+    model = CauchyModel(noisy, mu=15.0, gamma=3.0, c=1.83)
+
+    def run(max_outer_iter):
+        cfg = SolverConfig(variant=Variant.DCA, max_outer_iter=max_outer_iter,
+                           tol_rel_energy=0.0)
+        tracemalloc.start()
+        try:
+            result = solve(model, noisy, cfg)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, short_peak = run(20)
+    long, long_peak = run(80)
+    assert len(short.trace) == 20 and len(long.trace) == 80
+    assert long_peak - short_peak < 2 * noisy.nbytes
+
+
 # ---------------------------------------------------------------------------
 # solve: trajectories from the worked examples
 # ---------------------------------------------------------------------------
 
 def test_solve_ibdca_worked_trajectory():
     model = QuadL1Problem()
-    result = solve(model, np.array([0.5, 1.0]), ibdca_cfg())
+    result, xs = solve_keeping_iterates(model, np.array([0.5, 1.0]),
+                                        ibdca_cfg())
     assert result.status is Status.CRITICAL_POINT
     assert len(result.trace) == 3
-    xs = [rec.x for rec in result.trace]
     assert np.allclose(xs[0], [0.5, 1.0], atol=1e-12, rtol=0)
     assert np.allclose(xs[1], [1.0, 0.0], atol=1e-12, rtol=0)
     assert np.allclose(xs[2], [1.5, 0.0], atol=1e-12, rtol=0)
@@ -412,6 +437,8 @@ def test_solve_attaches_partial_trace_on_subproblem_failure():
         solve(BreaksAtThird(), np.array([9.0, 9.0]),
               SolverConfig(variant=Variant.DCA, tol_direction=0.0))
     assert len(excinfo.value.trace) == 2
+    # the partial trace keeps no iterate alive
+    assert all(rec.x is None for rec in excinfo.value.trace)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -449,15 +476,16 @@ STARTS = [(0.5, 1.0), (2.2, 0.4), (2.9, 2.9), (-1.0, 2.5), (0.3, 0.9)]
 
 
 def _run(model, variant, start):
+    """``(cfg, result, xs)``, with ``xs`` the iterate of each record."""
     cfg = SolverConfig(variant=variant, alpha=0.2, beta=0.7, lambda_bar=3.0)
-    return cfg, solve(model, np.array(start), cfg)
+    return (cfg, *solve_keeping_iterates(model, np.array(start), cfg))
 
 
 @pytest.mark.parametrize("variant", [Variant.DCA, Variant.IBDCA])
 @pytest.mark.parametrize("start", STARTS)
 def test_monotone_descent_and_decrease_bounds(variant, start):
     for model in (QuadL1Problem(), ScadSeparableProblem()):
-        cfg, result = _run(model, variant, start)
+        cfg, result, _ = _run(model, variant, start)
         assert result.monotone_violations == 0
         phis = [rec.phi for rec in result.trace] + [result.final_phi]
         for a, b in zip(phis, phis[1:]):
@@ -475,12 +503,12 @@ def test_monotone_descent_and_decrease_bounds(variant, start):
 @pytest.mark.parametrize("start", STARTS)
 def test_ibdca_sandwich_recomputed_post_hoc(start):
     for model in (QuadL1Problem(), ScadSeparableProblem()):
-        cfg, result = _run(model, Variant.IBDCA, start)
+        cfg, result, xs = _run(model, Variant.IBDCA, start)
         phis = [rec.phi for rec in result.trace] + [result.final_phi]
-        for rec, phi_next in zip(result.trace, phis[1:]):
+        for rec, x, phi_next in zip(result.trace, xs, phis[1:]):
             if rec.lam == 0.0:
                 continue
-            y = model.solve_subproblem(rec.x)
+            y = model.solve_subproblem(x)
             assert phi_next <= model.phi(y) + 1e-12
 
 
@@ -488,7 +516,7 @@ def test_ibdca_sandwich_recomputed_post_hoc(start):
 def test_direction_summability_bound(variant):
     for model in (QuadL1Problem(), ScadSeparableProblem()):
         for start in STARTS:
-            _, result = _run(model, variant, start)
+            _, result, _ = _run(model, variant, start)
             total = sum(rec.d_norm ** 2 for rec in result.trace)
             phis = [rec.phi for rec in result.trace] + [result.final_phi]
             assert total <= (phis[0] - min(phis)) / model.rho + 1e-9
@@ -497,7 +525,7 @@ def test_direction_summability_bound(variant):
 def test_ibdca_steps_stay_within_trial_bound():
     for model in (QuadL1Problem(), ScadSeparableProblem()):
         for start in STARTS:
-            cfg, result = _run(model, Variant.IBDCA, start)
+            cfg, result, _ = _run(model, Variant.IBDCA, start)
             for rec in result.trace[:-1]:
                 assert 1.0 <= rec.lam <= cfg.lambda_bar
 
@@ -508,13 +536,13 @@ def test_search_direction_descends_at_iterates(variant):
     # skipping near-converged iterates where the quotient is pure roundoff
     for model in (QuadL1Problem(), ScadSeparableProblem()):
         for start in STARTS:
-            _, result = _run(model, variant, start)
-            for rec in result.trace:
+            _, result, xs = _run(model, variant, start)
+            for rec, x in zip(result.trace, xs):
                 if rec.d_norm < 1e-3:
                     continue
-                y = model.solve_subproblem(rec.x)
-                d = y - rec.x
-                quot = oracles.forward_fd_directional(model.phi, rec.x, d,
+                y = model.solve_subproblem(x)
+                d = y - x
+                quot = oracles.forward_fd_directional(model.phi, x, d,
                                                       step=1e-6)
                 assert quot <= -0.5 * model.rho * rec.d_norm ** 2
 
@@ -534,9 +562,9 @@ def test_nmbdca_growth_bounded_by_allowance():
 def test_critical_point_certificates_at_termination():
     for variant in (Variant.DCA, Variant.IBDCA):
         for start in STARTS:
-            _, r1 = _run(QuadL1Problem(), variant, start)
+            _, r1, _ = _run(QuadL1Problem(), variant, start)
             assert quadl1_criticality_gap(r1.final_point) <= 1e-8
-            _, r2 = _run(ScadSeparableProblem(), variant, start)
+            _, r2, _ = _run(ScadSeparableProblem(), variant, start)
             assert scad_criticality_gap(r2.final_point) <= 1e-8
 
 

@@ -306,6 +306,32 @@ def test_tv_prox_rejects_u0_of_another_shape():
         assert str(v.shape) in str(excinfo.value)
 
 
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4)], ids=["1d", "3d"])
+@pytest.mark.parametrize("call, arg", [
+    (grad, "u"),
+    (lambda a: div((a, a)), "px, py in p"),
+    (lambda a: tv_prox(a, 1.0), "v"),
+], ids=["grad", "div", "tv_prox"])
+def test_operators_reject_rasters_that_are_not_2d(call, arg, shape):
+    # the error names the argument and the expected shape, not the unpacking
+    # inside the flat views
+    with pytest.raises(ValueError) as excinfo:
+        call(np.zeros(shape))
+    message = str(excinfo.value)
+    assert arg in message
+    assert "2-D" in message and "(m, n)" in message
+    assert str(shape) in message
+
+
+def test_div_rejects_px_py_of_different_shapes():
+    # (3, 4) and (5, 2) give flat views of equal lengths, so without the
+    # check div returned a raster mixing the two layouts
+    for py_shape in ((5, 2), (4, 3)):
+        with pytest.raises(ValueError) as excinfo:
+            div((np.ones((3, 4)), np.ones(py_shape)))
+        assert str(py_shape) in str(excinfo.value)
+
+
 def test_tv_prox_rejects_nonpositive_c():
     with pytest.raises(ValueError):
         tv_prox(np.zeros((4, 4)), c=0.0)
