@@ -334,6 +334,9 @@ def cmd_denoise(args):
     noise_gamma = args.noise_gamma if args.noise_gamma is not None else gamma
 
     clean, noisy, source = _load_observation(args, noise_gamma)
+    # before any output: re_err rejects an all-zero reference
+    noisy_metrics = {} if clean is None else {
+        "psnr_noisy": psnr(noisy, clean), "re_err_noisy": re_err(noisy, clean)}
     inner = _solver_config(args, PdConfig(), _INNER_FLAGS)
     c = args.c if args.c is not None else DEFAULT_C.get(
         (gamma, mu), 1.1 * mu / gamma ** 2)
@@ -374,11 +377,10 @@ def cmd_denoise(args):
         "outer_iterations": len(result.trace),
         "final_energy": result.final_phi,
         "monotone_violations": result.monotone_violations,
+        **noisy_metrics,
     }
     if clean is not None:
-        summary["psnr_noisy"] = psnr(noisy, clean)
         summary["psnr_restored"] = psnr(restored_q, clean)
-        summary["re_err_noisy"] = re_err(noisy, clean)
         summary["re_err_restored"] = re_err(restored_q, clean)
     unconverged = [rec.aux.get("inner_converged", 1.0) == 0.0
                    for rec in result.trace]
@@ -423,8 +425,9 @@ def _load_observation(args, noise_gamma):
 def cmd_metrics(args):
     a = read_pgm(args.a)
     b = read_pgm(args.b)
-    print(f"psnr_db={format_float(psnr(a, b))}")
-    print(f"re_err={format_float(re_err(a, b))}")
+    psnr_db, rel_err = psnr(a, b), re_err(a, b)  # re_err may reject b
+    print(f"psnr_db={format_float(psnr_db)}")
+    print(f"re_err={format_float(rel_err)}")
     return 0
 
 

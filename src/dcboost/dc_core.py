@@ -70,37 +70,36 @@ class Status(str, Enum):
 class SubproblemError(RuntimeError):
     """The convex subproblem solver produced unusable output.
 
-    Carries the inner residual (when known) and the partial outer trace so a
-    failed run can still be inspected; like every returned record, those of
-    the partial trace hold no iterate (``x`` is None).
+    Carries the inner residual, and :func:`solve` attaches the partial outer
+    trace so a failed run can still be inspected; like every returned
+    record, those of the partial trace hold no iterate (``x`` is None).
     """
 
-    def __init__(self, message, residual=float("nan"), trace=None):
+    def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
-        self.trace = trace if trace is not None else []
+        self.trace = []
 
 
 class DcModel(ABC):
     """A difference-of-convex program phi = g - h with h smooth.
 
     The outer loop needs only two things from a model: the objective
-    :meth:`phi` and :meth:`solve_subproblem`, the unique minimizer of the
-    linearized subproblem ``min g(.) - <grad_h(x), .>``.  ``rho`` is a
-    strong-convexity modulus valid for both g and h; it drives the per-step
-    decrease bound ``phi(y) <= phi(x) - rho * ||y - x||^2`` that the line
-    searches rely on.  ``dim`` is the ambient dimension (number of scalar
-    unknowns).  How g, h and grad_h are evaluated stays inside the model.
+    :meth:`phi` and :meth:`solve_subproblem_with_info`, which returns the
+    unique minimizer y of the linearized subproblem
+    ``min g(.) - <grad_h(x), .>`` with a dict of solver diagnostics (they
+    land in the records' ``aux``).  ``rho`` is a strong-convexity modulus
+    valid for both g and h; it drives the per-step decrease bound
+    ``phi(y) <= phi(x) - rho * ||y - x||^2`` that the line searches rely
+    on.  ``dim`` is the ambient dimension (number of scalar unknowns).  How
+    g, h and grad_h are evaluated stays inside the model.
 
-    A model may also override :meth:`solve_subproblem_with_info` to report
-    solver diagnostics with each solution (they land in the records'
-    ``aux``).  The outer loop advances a stack of points together, one lane
-    per point, shape ``(B, *point_shape)``, and reaches the model only
-    through :meth:`phi_lanes` and :meth:`subproblem_lanes`, whose defaults
-    loop over the lanes with :meth:`phi` and
-    :meth:`solve_subproblem_with_info`; a model with closed forms may
-    override them with vectorized versions that give every lane bitwise the
-    per-point result.
+    The outer loop advances a stack of points together, one lane per point,
+    shape ``(B, *point_shape)``, and reaches the model only through
+    :meth:`phi_lanes` and :meth:`subproblem_lanes`, whose defaults loop
+    over the lanes with the per-point methods; a model with closed forms
+    may override them with vectorized versions that give every lane
+    bitwise the per-point result.
 
     Evaluators must be pure: many solves may run concurrently against one
     shared model instance.
@@ -114,12 +113,9 @@ class DcModel(ABC):
         """Objective value g(x) - h(x), extended real."""
 
     @abstractmethod
-    def solve_subproblem(self, x):
-        """Unique minimizer of g(.) - <grad_h(x), .>."""
-
     def solve_subproblem_with_info(self, x):
-        """Subproblem solution plus solver diagnostics (empty by default)."""
-        return self.solve_subproblem(x), {}
+        """``(y, info)``: the unique minimizer y of g(.) - <grad_h(x), .>
+        and a dict of solver diagnostics, empty when there are none."""
 
     def phi_lanes(self, X):
         """phi of every lane of X, shape ``(B,)``."""
@@ -359,11 +355,7 @@ def _one_lane(a):
     return np.asarray(a, dtype=float)[None]
 
 
-def _phi_lane(model, x, value):
-    return np.array([model.phi(x) if value is None else value], dtype=float)
-
-
-def ibdca_line_search(model, x, y, d, cfg, phi_x=None, phi_y=None):
+def ibdca_line_search(model, x, y, d, cfg):
     """Backtrack from x along d = y - x; returns ``(lam, backtracks)``.
 
     Trial steps walk the ladder lambda_bar * beta^j.  A rung is accepted
@@ -373,14 +365,13 @@ def ibdca_line_search(model, x, y, d, cfg, phi_x=None, phi_y=None):
     conditions whenever alpha <= model.rho.  The returned lam therefore
     always lies in [1, lambda_bar].
     """
-    D = _one_lane(d)
-    lam, bt, _, _ = _ibdca_lanes(model, _one_lane(x), D, _sqnorms(D),
-                                 _phi_lane(model, x, phi_x),
-                                 _phi_lane(model, y, phi_y), cfg)
+    X, D = _one_lane(x), _one_lane(d)
+    lam, bt, _, _ = _ibdca_lanes(model, X, D, _sqnorms(D), model.phi_lanes(X),
+                                 model.phi_lanes(_one_lane(y)), cfg)
     return float(lam[0]), int(bt[0])
 
 
-def bdca_line_search(model, y, d, cfg, phi_y=None):
+def bdca_line_search(model, y, d, cfg):
     """Armijo backtracking from y along d; returns ``(lam, backtracks)``.
 
     Accepts the first ladder rung with
@@ -391,14 +382,13 @@ def bdca_line_search(model, y, d, cfg, phi_y=None):
     decrease term vanishes in floating point are not tested: they could only
     be accepted through rounding, never through actual descent.
     """
-    D = _one_lane(d)
-    lam, bt, _, _ = _armijo_lanes(model, _one_lane(y), D, _sqnorms(D),
-                                  _phi_lane(model, y, phi_y), np.zeros(1),
-                                  cfg)
+    Y, D = _one_lane(y), _one_lane(d)
+    lam, bt, _, _ = _armijo_lanes(model, Y, D, _sqnorms(D), model.phi_lanes(Y),
+                                  np.zeros(1), cfg)
     return float(lam[0]), int(bt[0])
 
 
-def nmbdca_line_search(model, y, d, k, cfg, phi_y=None):
+def nmbdca_line_search(model, y, d, k, cfg):
     """Nonmonotone variant of :func:`bdca_line_search`.
 
     The acceptance threshold is relaxed by the allowance
@@ -408,11 +398,10 @@ def nmbdca_line_search(model, y, d, k, cfg, phi_y=None):
     step for any sufficiently deep ladder; lam = 0 signals that
     max_backtracks could not reach that regime.
     """
-    D = _one_lane(d)
+    Y, D = _one_lane(y), _one_lane(d)
     dsq = _sqnorms(D)
-    lam, bt, _, _ = _armijo_lanes(model, _one_lane(y), D, dsq,
-                                  _phi_lane(model, y, phi_y), dsq / (k + 1),
-                                  cfg)
+    lam, bt, _, _ = _armijo_lanes(model, Y, D, dsq, model.phi_lanes(Y),
+                                  dsq / (k + 1), cfg)
     return float(lam[0]), int(bt[0])
 
 
@@ -546,7 +535,7 @@ def solve(model, x0, cfg, on_record=None):
     (possible only through inexact subproblems) are counted in
     ``monotone_violations``.  A critical-point stop appends a final record
     with lam = 0 and returns x with ``||y - x|| <= tol_direction``; the
-    criticality certificate holds at y = solve_subproblem(x), not at x.
+    criticality certificate holds at y, the subproblem solution at x, not x.
 
     ``on_record`` is called with each record as it is produced, which lets
     callers stream trace rows to disk so partial results survive an

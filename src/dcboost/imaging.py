@@ -39,7 +39,7 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
-        if self.gamma < 0.0:
+        if not self.gamma >= 0.0:  # NaN fails this too
             raise ValueError("gamma must be nonnegative")
 
 

@@ -56,13 +56,13 @@ class QuadL1Problem(DcModel):
         u, v = float(x[0]), float(x[1])
         return -2.5 * u + 0.5 * (u * u + v * v) + abs(u) + abs(v)
 
-    def solve_subproblem(self, x):
+    def solve_subproblem_with_info(self, x):
         # grad_h(x) = x, so the subproblem separates into two scalar soft
         # thresholds s(t) = sign(t) * max(|t| - 1, 0) / 2, the argmin of
         # s^2 + |s| - t*s: first coordinate s(5/2 + u), second s(v)
         u, v = float(x[0]), float(x[1])
         return np.array([math.copysign(max(abs(t) - 1.0, 0.0) * 0.5, t)
-                         for t in (2.5 + u, v)])
+                         for t in (2.5 + u, v)]), {}
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ class ScadSeparableProblem(DcModel):
     Critical points have each coordinate in {-2, 0, 2}; on the sampling box
     [0,3]^2 the four reachable ones are {0, 2}^2 and only (0, 0) is the
     global minimum.  Both parts carry the u^2/5 quadratic, so rho = 2/5.
-    The closed forms exist once, in lane form: phi and solve_subproblem are
+    The closed forms exist once, in lane form: the per-point methods are
     one-lane calls of phi_lanes and subproblem_lanes.
     """
 
@@ -169,8 +169,9 @@ class ScadSeparableProblem(DcModel):
     def phi(self, x):
         return float(self.phi_lanes(np.asarray(x, dtype=float)[None])[0])
 
-    def solve_subproblem(self, x):
-        return self.subproblem_lanes(np.asarray(x, dtype=float)[None])[0][0]
+    def solve_subproblem_with_info(self, x):
+        Y, infos = self.subproblem_lanes(np.asarray(x, dtype=float)[None])
+        return Y[0], infos[0]
 
     # The lane forms evaluate every branch on every entry and keep one, so
     # entries near the float limit overflow, or meet inf - inf, in branches

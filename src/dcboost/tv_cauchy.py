@@ -328,9 +328,6 @@ class CauchyModel(DcModel):
         # direct form of g - h; avoids the cancelling (c/2)||u||^2 terms
         return energy(u, self)
 
-    def solve_subproblem(self, u):
-        return self.solve_subproblem_with_info(u)[0]
-
     def solve_subproblem_with_info(self, u):
         result = tv_prox(grad_h_cauchy(u, self), self.c, self.inner, u0=u)
         if not np.all(np.isfinite(result.u)):

@@ -15,7 +15,8 @@ test oracles too: the solvers never need them.  The TV primal-dual loop is
 kept here in its plain allocating form, each step a fresh array, as the
 reference that the library's preallocated kernel must match bit for bit.
 Last, :func:`solve_keeping_iterates` keeps the iterates of a solve for the
-tests that re-check each step from its start point.
+tests that re-check each step from its start point, and
+:func:`subproblem_point` is the subproblem solution alone.
 """
 
 import math
@@ -364,3 +365,9 @@ def solve_keeping_iterates(model, x0, cfg):
     xs = []
     result = solve(model, x0, cfg, on_record=lambda rec: xs.append(rec.x))
     return result, xs
+
+
+def subproblem_point(model, x):
+    """The minimizer y of the model's linearized subproblem at x, without
+    the diagnostics ``solve_subproblem_with_info`` returns beside it."""
+    return model.solve_subproblem_with_info(x)[0]

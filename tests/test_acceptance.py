@@ -20,7 +20,8 @@ from dcboost import (CauchyModel, NoiseSpec, PdConfig, QuadL1Problem,
                      make_squares_image, psnr, quantize_u8, re_err, solve,
                      tv_prox)
 from dcboost.tv_cauchy import div
-from oracles import smooth_part_second_derivative, solve_keeping_iterates
+from oracles import (smooth_part_second_derivative, solve_keeping_iterates,
+                     subproblem_point)
 
 REL_TOL = 1e-8  # monotonicity slack, attributable only to inner inexactness
 
@@ -88,9 +89,9 @@ def test_criterion_1_worked_iterate_exactness():
 
     def body():
         x0 = np.array([0.5, 1.0])
-        y0 = model.solve_subproblem(x0)
+        y0 = subproblem_point(model, x0)
         assert np.max(np.abs(y0 - np.array([1.0, 0.0]))) <= 1e-12
-        y1 = model.solve_subproblem(y0)
+        y1 = subproblem_point(model, y0)
         d1 = y1 - y0
         assert np.max(np.abs(y1 - np.array([1.25, 0.0]))) <= 1e-12
         lam, _ = ibdca_line_search(model, y0, y1, d1, cfg)
@@ -108,7 +109,7 @@ def test_criterion_1_worked_iterate_exactness():
 def test_criterion_2_bdca_failure_reproduction():
     model = QuadL1Problem()
     x0 = np.array([0.5, 1.0])
-    y0 = model.solve_subproblem(x0)
+    y0 = subproblem_point(model, x0)
     d0 = y0 - x0
 
     def body():
@@ -207,7 +208,7 @@ def test_criterion_6_monotonicity_suite(toy_runs, denoise_runs):
             for rec, x, phi_next in zip(result.trace, xs, phis[1:]):
                 if rec.lam == 0.0:
                     continue
-                y = mdl.solve_subproblem(x)
+                y = subproblem_point(mdl, x)
                 slack = REL_TOL * max(1.0, abs(rec.phi))
                 assert phi_next <= (rec.phi
                                     - cfg.alpha * rec.lam * rec.d_norm ** 2

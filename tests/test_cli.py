@@ -452,6 +452,28 @@ def test_denoise_rejects_nonpositive_gamma(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
+def test_denoise_nan_noise_gamma_is_named(tmp_path, capsys):
+    # the error names the noise scale, not the all-NaN observation it made
+    assert main(["denoise", "--synthetic", "--size", "16x16",
+                 "--noise-gamma", "nan", "--out-dir", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0] == "dcboost denoise: gamma must be nonnegative"
+
+
+def test_denoise_zero_reference_fails_before_any_output(tmp_path, capsys):
+    from dcboost.imaging import write_pgm
+    write_pgm(tmp_path / "black.pgm", np.zeros((16, 16)))
+    out_dir = tmp_path / "out"
+    assert main(["denoise", "--clean", str(tmp_path / "black.pgm"),
+                 "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dcboost denoise: reference image is "
+                            "identically zero\n")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -488,6 +510,19 @@ def test_metrics_shape_mismatch_exit_2(tmp_path, capsys):
                  str(tmp_path / "b.pgm")]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("dcboost metrics: ")
+
+
+def test_metrics_zero_reference_prints_nothing(tmp_path, capsys):
+    # psnr of two equal images is inf, but re_err rejects the zero
+    # reference: neither value reaches stdout
+    from dcboost.imaging import write_pgm
+    write_pgm(tmp_path / "black.pgm", np.zeros((4, 4)))
+    assert main(["metrics", str(tmp_path / "black.pgm"),
+                 str(tmp_path / "black.pgm")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dcboost metrics: reference image is "
+                            "identically zero\n")
 
 
 def test_metrics_missing_file_exit_2(tmp_path, capsys):

@@ -15,7 +15,8 @@ from dcboost import (CauchyModel, NoiseSpec, QuadL1Problem,
 from dcboost.cli import _TraceStream
 from dcboost.dc_core import DcModel, solve_lanes
 from oracles import (quadl1_criticality_gap, scad_criticality_gap,
-                     scad_h_tilde_prime, solve_keeping_iterates)
+                     scad_h_tilde_prime, solve_keeping_iterates,
+                     subproblem_point)
 
 
 class QuadraticModel(DcModel):
@@ -27,18 +28,18 @@ class QuadraticModel(DcModel):
     def phi(self, x):
         return float(np.vdot(x, x))
 
-    def solve_subproblem(self, x):
-        return np.asarray(x, dtype=float) / 3.0
+    def solve_subproblem_with_info(self, x):
+        return np.asarray(x, dtype=float) / 3.0, {}
 
 
 class BrokenModel(QuadraticModel):
-    def solve_subproblem(self, x):
-        return np.array([math.nan, math.nan])
+    def solve_subproblem_with_info(self, x):
+        return np.array([math.nan, math.nan]), {}
 
 
 def linearized_step(model, x):
     """The linearized step: subproblem solution y and direction y - x."""
-    y = model.solve_subproblem(x)
+    y = subproblem_point(model, x)
     return y, y - x
 
 
@@ -53,7 +54,8 @@ def ibdca_cfg(**kw):
 # ---------------------------------------------------------------------------
 
 def test_model_contract_is_phi_and_subproblem():
-    assert DcModel.__abstractmethods__ == {"phi", "solve_subproblem"}
+    assert DcModel.__abstractmethods__ == {"phi",
+                                           "solve_subproblem_with_info"}
 
 
 def test_dca_step_first_worked_iterate():
@@ -242,8 +244,8 @@ def test_nmbdca_allowance_schedule(k, dsq, expected):
         dim = 1
         rho = 1.0
 
-        def solve_subproblem(self, x):
-            return np.asarray(x, dtype=float)
+        def solve_subproblem_with_info(self, x):
+            return np.asarray(x, dtype=float), {}
 
         def phi(self, x):
             return 0.0 if float(x[0]) == 0.0 else self.bump
@@ -427,11 +429,11 @@ def test_solve_attaches_partial_trace_on_subproblem_failure():
     class BreaksAtThird(QuadraticModel):
         calls = 0
 
-        def solve_subproblem(self, x):
+        def solve_subproblem_with_info(self, x):
             BreaksAtThird.calls += 1
             if BreaksAtThird.calls >= 3:
-                return np.array([math.nan, math.nan])
-            return np.asarray(x, dtype=float) / 3.0
+                return np.array([math.nan, math.nan]), {}
+            return np.asarray(x, dtype=float) / 3.0, {}
 
     with pytest.raises(SubproblemError) as excinfo:
         solve(BreaksAtThird(), np.array([9.0, 9.0]),
@@ -461,6 +463,31 @@ def test_solve_lanes_default_methods_match_single_solves(variant):
                  for r in records[i]]
                 == [(r.k, r.phi, r.d_norm, r.lam, r.backtracks)
                     for r in single.trace])
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_solve_lanes_keeps_each_lanes_info_when_a_lane_retires(variant):
+    # each lane's subproblem info is a tag of its own iterate; lanes 1 and 3
+    # start at the critical point 0 and retire at once, and no tag of theirs
+    # may pass to the lanes that go on
+    class Tagged(QuadraticModel):
+        def solve_subproblem_with_info(self, x):
+            return np.asarray(x, dtype=float) / 3.0, {"u": float(x[0])}
+
+    starts = np.array([(3.0, 1.0), (0.0, 0.0), (6.0, 2.0), (0.0, 0.0),
+                       (-9.0, 4.0)])
+    seen = []
+
+    def on_record(lane, rec):
+        assert rec.aux == {"u": float(rec.x[0])}, (lane, rec.k)
+        seen.append((lane, rec.k))
+
+    cfg = SolverConfig(variant=variant, max_outer_iter=4)
+    lanes = solve_lanes(Tagged(), starts, cfg, on_record=on_record)
+    assert list(lanes.status[[1, 3]]) == [Status.CRITICAL_POINT] * 2
+    assert sorted(seen) == sorted([(1, 0), (3, 0)]
+                                  + [(i, k) for i in (0, 2, 4)
+                                     for k in range(4)])
 
 
 def test_solve_rejects_wrong_dimension():
@@ -508,7 +535,7 @@ def test_ibdca_sandwich_recomputed_post_hoc(start):
         for rec, x, phi_next in zip(result.trace, xs, phis[1:]):
             if rec.lam == 0.0:
                 continue
-            y = model.solve_subproblem(x)
+            y = subproblem_point(model, x)
             assert phi_next <= model.phi(y) + 1e-12
 
 
@@ -540,7 +567,7 @@ def test_search_direction_descends_at_iterates(variant):
             for rec, x in zip(result.trace, xs):
                 if rec.d_norm < 1e-3:
                     continue
-                y = model.solve_subproblem(x)
+                y = subproblem_point(model, x)
                 d = y - x
                 quot = oracles.forward_fd_directional(model.phi, x, d,
                                                       step=1e-6)
@@ -578,7 +605,7 @@ CERTIFIED = [(QuadL1Problem, quadl1_criticality_gap, 1.0),
 @pytest.mark.parametrize("problem, gap, lipschitz_h", CERTIFIED,
                          ids=["quadl1", "scad"])
 def test_cluster_points_are_critical(problem, gap, lipschitz_h, variant):
-    # The certificate holds at y = solve_subproblem(x), where grad_h(x) lies
+    # The certificate holds at y, the subproblem solution at x, where grad_h(x) lies
     # in the subdifferential of g(y): the gap at y is at most
     # ||grad_h(y) - grad_h(x)|| <= L_h * ||y - x|| <= L_h * tol_direction.
     # At x itself it can jump: IBDCA on QuadL1 from the @example start stops
@@ -599,7 +626,7 @@ def test_cluster_points_are_critical(problem, gap, lipschitz_h, variant):
         assert all(b <= a + 4.0 * np.spacing(max(1.0, abs(a)))
                    for a, b in zip(phis, phis[1:])), phis
         assert result.status is Status.CRITICAL_POINT
-        y = model.solve_subproblem(result.final_point)
+        y = subproblem_point(model, result.final_point)
         ulps = 4.0 * np.spacing(max(1.0, float(np.abs(y).max())))
         assert gap(y) <= lipschitz_h * cfg.tol_direction + ulps, (start, y)
 
@@ -692,11 +719,11 @@ def test_on_record_receives_partial_trace_before_failure():
     class BreaksAtThird(QuadraticModel):
         calls = 0
 
-        def solve_subproblem(self, x):
+        def solve_subproblem_with_info(self, x):
             BreaksAtThird.calls += 1
             if BreaksAtThird.calls >= 3:
-                return np.array([math.nan, math.nan])
-            return np.asarray(x, dtype=float) / 3.0
+                return np.array([math.nan, math.nan]), {}
+            return np.asarray(x, dtype=float) / 3.0, {}
 
     seen = []
     with pytest.raises(SubproblemError):

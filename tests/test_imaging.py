@@ -41,6 +41,12 @@ def test_negative_gamma_rejected():
         NoiseSpec(gamma=-1.0, seed=0)
 
 
+def test_nan_gamma_rejected():
+    # a NaN scale used to pass the sign check and turn every pixel NaN
+    with pytest.raises(ValueError, match="gamma"):
+        NoiseSpec(gamma=float("nan"), seed=0)
+
+
 def test_noise_redraws_denominators_below_guard(monkeypatch):
     u = np.full((8, 8), 100.0)
     spec = NoiseSpec(gamma=2.0, seed=5)

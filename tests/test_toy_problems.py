@@ -20,14 +20,16 @@ from dcboost.toy_problems import (ATTRACTOR_LABELS, ATTRACTORS, BASIN_BLOCK,
                                   classify_lanes, default_basin_config)
 from oracles import (classify_point, quadl1_criticality_gap,
                      scad_criticality_gap, scad_g_tilde, scad_h_tilde,
-                     scad_h_tilde_prime, scad_phi_tilde, scad_subproblem_1d)
+                     scad_h_tilde_prime, scad_phi_tilde, scad_subproblem_1d,
+                     subproblem_point)
 
 
 # ---------------------------------------------------------------------------
 # quadratic-plus-l1: closed-form subproblem
 # ---------------------------------------------------------------------------
 
-quadl1_subproblem = QuadL1Problem().solve_subproblem
+def quadl1_subproblem(x):
+    return subproblem_point(QuadL1Problem(), x)
 
 
 def test_quadl1_subproblem_known_values():
@@ -168,7 +170,7 @@ def test_scad_model_is_separable():
     model = ScadSeparableProblem()
     for _ in range(200):
         x = rng.uniform(-3.0, 3.0, size=2)
-        joint = model.solve_subproblem(x)
+        joint = subproblem_point(model, x)
         per_coord = [scad_subproblem_1d(scad_h_tilde_prime(float(c)))
                      for c in x]
         assert np.array_equal(joint, per_coord)
@@ -197,7 +199,7 @@ def test_scad_lane_methods_bitwise_match_per_point():
     # the per-point methods are one-lane calls of the same forms
     for x, y, phi in zip(X[:2000], Y, model.phi_lanes(X[:2000])):
         assert model.phi(x) == phi
-        assert np.array_equal(model.solve_subproblem(x).view(np.int64),
+        assert np.array_equal(subproblem_point(model, x).view(np.int64),
                               y.view(np.int64))
     # the subproblem's fixed candidates g~(-2), g~(0), g~(2)
     corners = np.array(toy_problems._G_AT_BREAKPOINTS)
@@ -216,14 +218,14 @@ def test_scad_methods_do_not_warn_on_huge_entries():
         assert model.phi([np.inf, 0.0]) == np.inf
         assert model.phi([2e154, 0.0]) == np.inf
         assert model.phi_lanes(np.array([[-np.inf, np.inf]]))[0] == np.inf
-        assert model.solve_subproblem([1e300, 0.0])[1] == 0.0
+        assert subproblem_point(model, [1e300, 0.0])[1] == 0.0
         # the stationary point of |t| >= 2 wins though its value is
         # inf - inf = nan
         w = 1.0 + 0.4 * 1e300
-        assert (model.solve_subproblem([1e300, 0.0])[0]
+        assert (subproblem_point(model, [1e300, 0.0])[0]
                 == 5.0 * (w + 3.0) / 12.0)
         w = -1.0 + 0.4 * -1e300
-        assert (model.solve_subproblem([-1e300, 0.0])[0]
+        assert (subproblem_point(model, [-1e300, 0.0])[0]
                 == 5.0 * (w - 3.0) / 12.0)
 
 
