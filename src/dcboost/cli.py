@@ -189,18 +189,6 @@ def _solver_config(args, defaults, flags=_SOLVER_FLAGS):
     return dataclasses.replace(defaults, **given)
 
 
-def _config_flags(cfg):
-    return {"variant": cfg.variant.value,
-            **{flag: getattr(cfg, field)
-               for flag, field in _SOLVER_FLAGS.items()}}
-
-
-def _descent_premise(cfg, rho):
-    """Manifest fields: the model's modulus rho, and whether alpha exceeds
-    it, which voids the monotone descent IBDCA's line search relies on."""
-    return {"rho": rho, "alpha_exceeds_rho": cfg.alpha > rho}
-
-
 def _ensure_out_dir(path):
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -221,12 +209,20 @@ def _json_text(payload):
                       allow_nan=False) + "\n"
 
 
-def _write_manifest(out_dir, command, flags, outputs, **extra):
+def _write_manifest(out_dir, command, cfg, rho, flags, outputs, **extra):
+    """``<command>_manifest.json``: the command's ``flags``, the resolved
+    solver flags, rho, and whether alpha exceeds rho (which voids the
+    monotone descent IBDCA's line search relies on)."""
     payload = {
         "command": command,
-        "flags": flags,
+        "flags": {**flags, "variant": cfg.variant.value,
+                  "out_dir": str(out_dir),
+                  **{flag: getattr(cfg, field)
+                     for flag, field in _SOLVER_FLAGS.items()}},
         "outputs": {name: str(p) for name, p in outputs.items()},
         "version": __version__,
+        "rho": rho,
+        "alpha_exceeds_rho": cfg.alpha > rho,
         **extra,
     }
     path = out_dir / f"{command}_manifest.json"
@@ -288,10 +284,9 @@ def cmd_toy(args):
     with closing(_TraceStream(trace_path)) as stream:
         result = solve(model, np.array(args.x0), cfg, on_record=stream)
 
-    flags = {"example": args.example, "x0": list(args.x0),
-             "out_dir": str(out_dir), **_config_flags(cfg)}
-    _write_manifest(out_dir, "toy", flags, {"trace": trace_path},
-                    **_descent_premise(cfg, model.rho))
+    _write_manifest(out_dir, "toy", cfg, model.rho,
+                    {"example": args.example, "x0": list(args.x0)},
+                    {"trace": trace_path})
 
     u, v = (format_float(t) for t in result.final_point)
     print(f"final_point=({u},{v}) phi={format_float(result.final_phi)} "
@@ -306,14 +301,12 @@ def cmd_basin(args):
     out_dir = _ensure_out_dir(args.out_dir)
     csv_path = out_dir / "basin_report.csv"
     write_basin_csv(report, csv_path)
-    flags = {"n": args.n, "seed": args.seed, "out_dir": str(out_dir),
-             **_config_flags(cfg)}
     totals = {"outer_iterations": report.outer_iterations,
               "backtracks": report.backtracks,
               "linesearch_failures": report.linesearch_failures}
-    _write_manifest(out_dir, "basin", flags, {"report": csv_path},
-                    totals=totals,
-                    **_descent_premise(cfg, ScadSeparableProblem.rho))
+    _write_manifest(out_dir, "basin", cfg, ScadSeparableProblem.rho,
+                    {"n": args.n, "seed": args.seed}, {"report": csv_path},
+                    totals=totals)
 
     for label in LABELS:
         count = report.counts.get(label, 0)
@@ -394,10 +387,8 @@ def cmd_denoise(args):
         "source": source, "size": list(noisy.shape), "gamma": gamma,
         "noise_gamma": noise_gamma, "seed": args.seed, "mu": mu, "c": c,
         "inner_max_iter": inner.max_inner_iter, "inner_tol": inner.tol_inner,
-        "out_dir": str(out_dir), **_config_flags(cfg),
     }
-    _write_manifest(out_dir, "denoise", flags, outputs,
-                    **_descent_premise(cfg, model.rho))
+    _write_manifest(out_dir, "denoise", cfg, model.rho, flags, outputs)
 
     for key, value in sorted(summary.items()):
         text = format_float(value) if isinstance(value, float) else value

@@ -41,6 +41,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not self.gamma >= 0.0:  # NaN fails this too
             raise ValueError("gamma must be nonnegative")
+        if self.gamma == math.inf:
+            raise ValueError("gamma must be finite")
 
 
 def add_cauchy_noise(u, spec):
@@ -49,8 +51,9 @@ def add_cauchy_noise(u, spec):
     Normals come from Box-Muller over a counter-based (Philox) stream keyed
     by the seed, so the field is reproducible from (seed, shape, gamma)
     alone.  Denominators below the guard are redrawn; gamma = 0 returns u
-    unchanged.  The output is NOT clamped to [0, 255]; quantize separately
-    when an 8-bit observation is wanted.
+    unchanged, and a gamma so large that some noise overflows is rejected.
+    The output is NOT clamped to [0, 255]; quantize separately when an
+    8-bit observation is wanted.
     """
     u = np.asarray(u, dtype=float)
     if spec.gamma == 0.0:
@@ -63,7 +66,10 @@ def add_cauchy_noise(u, spec):
         v1[bad] = r1
         v2[bad] = r2
         bad = np.abs(v2) < DENOM_GUARD
-    noise = spec.gamma * v1 / v2
+    with np.errstate(over="ignore"):
+        noise = spec.gamma * v1 / v2
+    if not np.isfinite(noise).all():
+        raise ValueError(f"noise of scale gamma={spec.gamma:g} overflows")
     return u + noise.reshape(u.shape)
 
 

@@ -269,6 +269,8 @@ def basin_experiment(n_points, seed, variant, cfg=None, points=None):
     else:
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         n_points = len(points)
+        if n_points == 0:
+            raise ValueError("points is empty: no starts to solve")
         blocks = (points[start:start + BASIN_BLOCK]
                   for start in range(0, n_points, BASIN_BLOCK))
 

@@ -11,6 +11,7 @@ import pytest
 
 import dcboost
 from dcboost import CauchyModel, PdConfig, QuadL1Problem, Variant
+from dcboost import cli
 from dcboost.cli import main
 from dcboost.toy_problems import default_basin_config
 
@@ -99,6 +100,8 @@ def test_toy_invalid_flags_exit_2():
     ["denoise", "--synthetic", "--size", "16x16", "--gamma", "1e-200"],
     ["denoise", "--synthetic", "--size", "16x16", "--c", "1e308"],
     ["denoise", "--synthetic", "--size", "16x16", "--mu", "1e308"],
+    ["denoise", "--synthetic", "--size", "16x16", "--noise-gamma", "inf"],
+    ["denoise", "--synthetic", "--size", "16x16", "--noise-gamma", "1e308"],
     ["basin", "--n", "0"],
 ])
 def test_bad_flag_values_exit_2_with_one_line(argv, tmp_path, capsys):
@@ -350,23 +353,24 @@ def _reject_constant(name):
 
 def test_denoise_json_outputs_write_non_finite_floats_as_null(tmp_path,
                                                               capsys):
-    # noise-free: psnr_noisy is inf; infinite noise: the manifest's
-    # noise_gamma is inf.  Both files must stay strict JSON.
-    base = ["denoise", "--synthetic", "--size", "16x16", "--max-iter", "2"]
-    free, wild = tmp_path / "free", tmp_path / "wild"
-    code, out = run(capsys, *base, "--noise-gamma", "0",
-                    "--out-dir", str(free))
+    # noise-free: psnr_noisy is inf, and the metrics file must stay strict
+    # JSON; the manifest shares the writer, checked directly below
+    code, out = run(capsys, "denoise", "--synthetic", "--size", "16x16",
+                    "--max-iter", "2", "--noise-gamma", "0",
+                    "--out-dir", str(tmp_path))
     assert code == 0
     assert "psnr_noisy=inf" in out.splitlines()
-    run(capsys, *base, "--noise-gamma", "inf", "--out-dir", str(wild))
-    parsed = {}
-    for run_dir in (free, wild):
-        for name in ("denoise_metrics.json", "denoise_manifest.json"):
-            parsed[run_dir.name, name] = json.loads(
-                (run_dir / name).read_text(), parse_constant=_reject_constant)
-    assert parsed["free", "denoise_metrics.json"]["psnr_noisy"] is None
-    assert parsed["wild", "denoise_manifest.json"]["flags"]["noise_gamma"] \
-        is None
+    metrics = json.loads((tmp_path / "denoise_metrics.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert metrics["psnr_noisy"] is None
+
+
+def test_json_text_writes_nested_non_finite_floats_as_null():
+    text = cli._json_text({"flags": {"noise_gamma": math.inf, "mu": 2.5},
+                           "list": [math.nan, -math.inf, 1.0]})
+    parsed = json.loads(text, parse_constant=_reject_constant)
+    assert parsed == {"flags": {"noise_gamma": None, "mu": 2.5},
+                      "list": [None, None, 1.0]}
 
 
 def test_denoise_input_mode(tmp_path, denoise_run, capsys):

@@ -14,6 +14,7 @@ from dcboost import (CauchyModel, NoiseSpec, QuadL1Problem,
                      nmbdca_line_search, quantize_u8, solve)
 from dcboost.cli import _TraceStream
 from dcboost.dc_core import DcModel, solve_lanes
+from dcboost.toy_problems import default_basin_config
 from oracles import (quadl1_criticality_gap, scad_criticality_gap,
                      scad_h_tilde_prime, solve_keeping_iterates,
                      subproblem_point)
@@ -311,6 +312,31 @@ def test_ibdca_long_walk_matches_rung_by_rung_oracle(max_backtracks):
     assert expected[1] > 100
 
 
+@pytest.mark.parametrize("variant", ["bdca", "nmbdca", "ibdca"])
+def test_public_line_searches_match_solve_steps(variant):
+    # the single-point searches and the lane loop's steps share one rule
+    cfg = default_basin_config(variant)
+    starts = [(0.5, 1.0), (0.5, 0.0), (-1.0, 2.0), (1.3, 2.9), (2.2, 0.4),
+              (2.2, 2.2), (1.0, 0.0)]
+    checked = 0
+    for model in (QuadL1Problem(), ScadSeparableProblem()):
+        for x0 in starts:
+            result, xs = solve_keeping_iterates(model, np.array(x0), cfg)
+            for rec, x in zip(result.trace, xs):
+                if rec.d_norm <= cfg.tol_direction:
+                    continue  # the critical-point stop takes no step
+                y, d = linearized_step(model, x)
+                if variant == "ibdca":
+                    got = ibdca_line_search(model, x, y, d, cfg)
+                elif variant == "bdca":
+                    got = bdca_line_search(model, y, d, cfg)
+                else:
+                    got = nmbdca_line_search(model, y, d, rec.k, cfg)
+                assert got == (rec.lam, rec.backtracks), (x0, rec.k)
+                checked += 1
+    assert checked > 100
+
+
 def test_line_search_memory_flat_in_max_backtracks():
     # the ladder is formed as the walk reaches it, not max_backtracks deep;
     # this solve walks some 190 rungs in all
@@ -441,6 +467,13 @@ def test_solve_attaches_partial_trace_on_subproblem_failure():
     assert len(excinfo.value.trace) == 2
     # the partial trace keeps no iterate alive
     assert all(rec.x is None for rec in excinfo.value.trace)
+
+
+@pytest.mark.parametrize("model", [QuadL1Problem(), ScadSeparableProblem()],
+                         ids=["quadl1", "scad"])
+def test_solve_lanes_rejects_an_empty_stack(model):
+    with pytest.raises(ValueError, match="empty stack of starts"):
+        solve_lanes(model, np.empty((0, 2)), SolverConfig())
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -47,6 +47,18 @@ def test_nan_gamma_rejected():
         NoiseSpec(gamma=float("nan"), seed=0)
 
 
+def test_infinite_gamma_rejected():
+    # an infinite scale turned every pixel into +-inf
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        NoiseSpec(gamma=math.inf, seed=0)
+
+
+def test_overflowing_noise_rejected():
+    # a finite scale whose noise overflows must not warn and return inf
+    with pytest.raises(ValueError, match="overflows"):
+        add_cauchy_noise(np.ones((4, 4)), NoiseSpec(gamma=1e308, seed=0))
+
+
 def test_noise_redraws_denominators_below_guard(monkeypatch):
     u = np.full((8, 8), 100.0)
     spec = NoiseSpec(gamma=2.0, seed=5)

@@ -285,6 +285,13 @@ def test_basin_explicit_critical_start():
     assert report.counts["(0,0)"] == 1
 
 
+def test_basin_empty_points_rejected():
+    # the drawing path rejects n_points < 1; explicit starts must too
+    with pytest.raises(ValueError, match="points is empty"):
+        basin_experiment(0, seed=0, variant=Variant.IBDCA,
+                         points=np.empty((0, 2)))
+
+
 def _lane_starts():
     """About 300 starts: uniform ones, every pair of breakpoints |u| in
     {0, 1, 2}, and a breakpoint in one coordinate with a uniform other."""
