@@ -91,8 +91,9 @@ class DcModel(ABC):
     land in the records' ``aux``).  ``rho`` is a strong-convexity modulus
     valid for both g and h; it drives the per-step decrease bound
     ``phi(y) <= phi(x) - rho * ||y - x||^2`` that the line searches rely
-    on.  ``dim`` is the ambient dimension (number of scalar unknowns).  How
-    g, h and grad_h are evaluated stays inside the model.
+    on.  ``shape`` is the shape of one point (``(2,)`` for a 2-vector, the
+    raster's shape for an image).  How g, h and grad_h are evaluated stays
+    inside the model.
 
     The outer loop advances a stack of points together, one lane per point,
     shape ``(B, *point_shape)``, and reaches the model only through
@@ -105,7 +106,7 @@ class DcModel(ABC):
     shared model instance.
     """
 
-    dim: int
+    shape: tuple
     rho: float
 
     @abstractmethod
@@ -251,8 +252,6 @@ def _rows(A, lanes):
 # no phi is spent below an accepted rung.  A rung-by-rung walk is bitwise
 # equal but ran basin 23% slower (0.439 -> 0.539 s median, 10 process pairs).
 _TRIAL_BUDGET = 4096
-# Rungs formed at a time; the default ladder (60 rungs) is one segment.
-_LADDER_SEGMENT = 64
 
 
 def _backtrack(model, base, D, cfg, floor, bound, fallback):
@@ -263,50 +262,39 @@ def _backtrack(model, base, D, cfg, floor, bound, fallback):
     ``floor[i]``, and accepts the first whose trial value phi(base + lam*d)
     is at most ``bound(lanes, lam)``; a lane that accepts none takes its row
     of ``fallback = (lam, points, values)``, with one backtrack per rung it
-    was allowed.  Rungs are formed a segment at a time as the walk reaches
-    them, so memory does not grow with max_backtracks.  Several rungs may
-    share one :meth:`DcModel.phi_lanes` call; since a lane still takes its
-    first accepted rung, the outcome is that of a rung-by-rung walk.
-    Returns ``(lam, backtracks, points, values)``.
+    was allowed.  The rungs are tried in batches of at most
+    ``_TRIAL_BUDGET`` trial entries (or one rung), each formed as the walk
+    reaches it, so memory does not grow with max_backtracks; since a lane
+    still takes its first accepted rung, the outcome is that of a
+    rung-by-rung walk.  Returns ``(lam, backtracks, points, values)``.
     """
     n = len(base)
     lam_out = np.full(n, fallback[0])
     bt_out = np.zeros(n, dtype=int)
     points, values = fallback[1].copy(), fallback[2].copy()
-    lanes = np.arange(n)
+    lanes = np.flatnonzero(floor <= cfg.lambda_bar)
     point_shape = base.shape[1:]
-    j = top = 0
-    next_lam = cfg.lambda_bar
-    while lanes.size:
-        if j == top:
-            # rungs j .. top-1, and rung top unless the ladder ends there:
-            # it tells the lanes that go on
-            ladder = np.full(min(_LADDER_SEGMENT + 1, cfg.max_backtracks - j),
-                             cfg.beta)
-            ladder[0] = next_lam
-            np.multiply.accumulate(ladder, out=ladder)
-            bottom, top = j, j + min(_LADDER_SEGMENT, len(ladder))
-            next_lam = ladder[-1]
-            # a walking lane's bt_out holds its limit, the index past its
-            # last rung not below its floor; a lane that accepts no rung
-            # keeps it as its backtrack count
-            bt_out[lanes] = j + np.searchsorted(-ladder, -_rows(floor, lanes),
-                                                side="right")
-            lanes = lanes[bt_out[lanes] > j]
-            continue
-        lane_limit = _rows(bt_out, lanes)
-        rungs = min(max(1, _TRIAL_BUDGET // (lanes.size * base[0].size)),
-                    int(lane_limit.max()) - j, top - j)
-        lam = ladder[j - bottom:j - bottom + rungs, None]
+    j, next_lam = 0, cfg.lambda_bar
+    while lanes.size and j < cfg.max_backtracks:
+        rungs = max(1, _TRIAL_BUDGET // (lanes.size * base[0].size))
+        ladder = np.full(min(rungs, cfg.max_backtracks - j), cfg.beta)
+        ladder[0] = next_lam
+        np.multiply.accumulate(ladder, out=ladder)
+        # each lane may try its rungs not below its floor, a prefix of the
+        # batch; the batch ends at the deepest rung any lane may try
+        lane_floor = _rows(floor, lanes)
+        allowed = ladder[:, None] >= lane_floor
+        count = allowed.sum(axis=0)
+        deepest = count.max()
+        lam, allowed = ladder[:deepest, None], allowed[:deepest]
         trial = (_rows(base, lanes)
                  + lam.reshape(lam.shape + (1,) * len(point_shape))
                  * _rows(D, lanes))
         got = model.phi_lanes(trial.reshape((-1,) + point_shape))
-        got = got.reshape(rungs, -1)
-        ok = got <= bound(lanes, lam)
-        # rung j lies within every walking lane's limit
-        ok[1:] &= np.arange(j + 1, j + rungs)[:, None] < lane_limit
+        got = got.reshape(len(lam), -1)
+        ok = (got <= bound(lanes, lam)) & allowed
         hit = ok.any(axis=0)
+        bt_out[lanes] = j + count
         if hit.any():
             col = np.flatnonzero(hit)
             rung = ok[:, col].argmax(axis=0)
@@ -315,8 +303,10 @@ def _backtrack(model, base, D, cfg, floor, bound, fallback):
             bt_out[done] = j + rung
             points[done] = trial[rung, col]
             values[done] = got[rung, col]
-        j += rungs
-        lanes = lanes[~hit & (lane_limit > j)]
+        j += len(lam)
+        next_lam = lam[-1, 0] * cfg.beta
+        # the lanes that go on accepted no rung and may try the next
+        lanes = lanes[~hit & (lane_floor <= next_lam)]
     return lam_out, bt_out, points, values
 
 
@@ -422,12 +412,12 @@ def solve_lanes(model, X0, cfg, on_record=None):
     lane.
     """
     x = np.array(X0, dtype=float)
+    if x.ndim == 0 or x.shape[1:] != model.shape:
+        raise ValueError(f"X0 of shape {x.shape} is not a stack of points "
+                         f"of shape {model.shape}")
     n = len(x)
     if n == 0:
         raise ValueError("X0 is an empty stack of starts")
-    if x.size != n * model.dim:
-        raise ValueError(f"x0 has {x.size // n} entries, model "
-                         f"expects {model.dim}")
     phi_x = model.phi_lanes(x)
     if not np.all(np.isfinite(phi_x)):
         raise ValueError("phi(x0) is not finite; x0 lies outside dom g")

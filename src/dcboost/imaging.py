@@ -162,6 +162,9 @@ def _pgm_header_tokens(data):
 
 def write_pgm(path, u):
     """Write as binary 8-bit PGM, applying :func:`quantize_u8` first."""
+    u = np.asarray(u, dtype=float)
+    if np.isnan(u).any():
+        raise ValueError("image has NaN pixels")
     q = quantize_u8(u).astype(np.uint8)
     if q.ndim != 2:
         raise ValueError("image must be 2-D")

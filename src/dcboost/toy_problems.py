@@ -49,7 +49,7 @@ class QuadL1Problem(DcModel):
     are evaluated only by the test oracles (``tests/oracles.py``).
     """
 
-    dim = 2
+    shape = (2,)
     rho = 1.0
 
     def phi(self, x):
@@ -163,7 +163,7 @@ class ScadSeparableProblem(DcModel):
     one-lane calls of phi_lanes and subproblem_lanes.
     """
 
-    dim = 2
+    shape = (2,)
     rho = 0.4
 
     def phi(self, x):
@@ -267,7 +267,7 @@ def basin_experiment(n_points, seed, variant, cfg=None, points=None):
                   * rng.random((min(BASIN_BLOCK, n_points - start), 2))
                   for start in range(0, n_points, BASIN_BLOCK))
     else:
-        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        points = np.atleast_1d(np.asarray(points, dtype=float))
         n_points = len(points)
         if n_points == 0:
             raise ValueError("points is empty: no starts to solve")

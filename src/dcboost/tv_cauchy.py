@@ -321,7 +321,7 @@ class CauchyModel(DcModel):
         self.gamma = float(gamma)
         self.c = float(c)
         self.inner = PdConfig() if inner is None else inner
-        self.dim = f.size
+        self.shape = f.shape
         self.rho = self.c - self.mu / self.gamma ** 2
 
     def phi(self, u):

@@ -14,16 +14,18 @@ smooth part and the criticality gaps dist(grad_h(x), subdiff g(x)) are
 test oracles too: the solvers never need them.  The TV primal-dual loop is
 kept here in its plain allocating form, each step a fresh array, as the
 reference that the library's preallocated kernel must match bit for bit.
-Last, :func:`solve_keeping_iterates` keeps the iterates of a solve for the
-tests that re-check each step from its start point, and
-:func:`subproblem_point` is the subproblem solution alone.
+:func:`line_search_walk` walks one lane's line search rung by rung, the
+reference of the lane loop's batched walk.  Last,
+:func:`solve_keeping_iterates` keeps the iterates of a solve for the tests
+that re-check each step from its start point, and :func:`subproblem_point`
+is the subproblem solution alone.
 """
 
 import math
 
 import numpy as np
 
-from dcboost.dc_core import solve
+from dcboost.dc_core import Variant, solve
 from dcboost.toy_problems import (ATTRACTOR_LABELS, ATTRACTORS,
                                   CLASSIFY_RADIUS, OTHER_LABEL)
 from dcboost.tv_cauchy import PD_STEP0, TvProxResult, div, grad, tv
@@ -371,3 +373,49 @@ def subproblem_point(model, x):
     """The minimizer y of the model's linearized subproblem at x, without
     the diagnostics ``solve_subproblem_with_info`` returns beside it."""
     return model.solve_subproblem_with_info(x)[0]
+
+
+def line_search_walk(model, variant, x, y, d, k, cfg):
+    """One lane's line search, one rung at a time, in plain Python.
+
+    The rungs are lam = lambda_bar, lam*beta, ... for at most
+    max_backtracks of them.  IBDCA walks from x while lam > 1, accepting
+    phi(x + lam*d) <= phi(x) - alpha*lam*||d||^2 when also <= phi(y), and
+    clamps to 1 (the point y).  BDCA and nmBDCA walk from y while lam is not
+    below the Armijo floor eps*max(1, |phi(y)|)/(alpha*||d||^2), accepting
+    phi(y + lam*d) <= phi(y) - alpha*lam*||d||^2 + v, with v = 0 for BDCA
+    and ||d||^2/(k+1) for nmBDCA, and fall back to 0 (the point y).
+    Returns ``(lam, backtracks, point, value)``.
+    """
+    variant = Variant(variant)
+    phi_y = model.phi(y)
+    dsq = float(np.vdot(d, d))
+    if variant is Variant.IBDCA:
+        base, fallback, phi_x = x, 1.0, model.phi(x)
+
+        def tried(lam):
+            return lam > 1.0
+
+        def accepted(lam, value):
+            return value <= phi_x - cfg.alpha * lam * dsq and value <= phi_y
+    else:
+        base, fallback = y, 0.0
+        floor = (np.finfo(float).eps * max(1.0, abs(phi_y))
+                 / (cfg.alpha * dsq))
+        allowance = dsq / (k + 1) if variant is Variant.NMBDCA else 0.0
+
+        def tried(lam):
+            return lam >= floor
+
+        def accepted(lam, value):
+            return value <= phi_y - cfg.alpha * lam * dsq + allowance
+
+    lam, backtracks = cfg.lambda_bar, 0
+    while backtracks < cfg.max_backtracks and tried(lam):
+        point = base + lam * d
+        value = model.phi(point)
+        if accepted(lam, value):
+            return lam, backtracks, point, value
+        lam *= cfg.beta
+        backtracks += 1
+    return fallback, backtracks, y, phi_y

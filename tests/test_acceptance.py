@@ -106,23 +106,38 @@ def test_criterion_1_worked_iterate_exactness():
           f"lambda=2 accepted, phi=-9/8 ({elapsed * 1e6:.0f} us)")
 
 
+class PhiCountingQuadL1(QuadL1Problem):
+    """QuadL1Problem that records the row count of each phi_lanes call."""
+
+    def __init__(self):
+        self.rows = []
+
+    def phi_lanes(self, X):
+        self.rows.append(len(X))
+        return super().phi_lanes(X)
+
+
+# phi rows of each failed search, phi(y) then its ladder (1 + backtracks)
+CRITERION_2_ROWS = {1e-6: 35, 1e-3: 45, 0.2: 53, 0.9: 55, 1.0: 55, 2.0: 56}
+
+
 def test_criterion_2_bdca_failure_reproduction():
-    model = QuadL1Problem()
+    # the search is cheap by its work, not by the host's clock: every alpha
+    # costs two phi_lanes calls and a ladder cut at the Armijo floor
+    model = PhiCountingQuadL1()
     x0 = np.array([0.5, 1.0])
     y0 = subproblem_point(model, x0)
     d0 = y0 - x0
-
-    def body():
-        for alpha in (1e-6, 1e-3, 0.2, 0.9, 1.0, 2.0):
-            cfg = SolverConfig(variant=Variant.BDCA, alpha=alpha, beta=0.5,
-                               lambda_bar=2.0)
-            lam, _ = bdca_line_search(model, y0, d0, cfg)
-            assert lam == 0.0
-
-    elapsed = _best_of(body)
-    assert elapsed < 1e-3
-    print(f"\nPASS criterion 2: BDCA returns the lambda=0 failure flag at "
-          f"y0 for every alpha > 0 ({elapsed * 1e6:.0f} us)")
+    for alpha, rows in CRITERION_2_ROWS.items():
+        cfg = SolverConfig(variant=Variant.BDCA, alpha=alpha, beta=0.5,
+                           lambda_bar=2.0)
+        model.rows.clear()
+        lam, backtracks = bdca_line_search(model, y0, d0, cfg)
+        assert lam == 0.0
+        assert model.rows == [1, backtracks] and 1 + backtracks == rows
+    print("\nPASS criterion 2: BDCA returns the lambda=0 failure flag at "
+          f"y0 for every alpha > 0 ({sum(CRITERION_2_ROWS.values())} phi "
+          "evaluations)")
 
 
 # attractor counts at seed 7, n = 10^4: (0,0), (0,2), (2,0), (2,2), other

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,7 @@ from dcboost import (CauchyModel, NoiseSpec, QuadL1Problem,
                      SubproblemError, Variant, add_cauchy_noise,
                      bdca_line_search, ibdca_line_search, make_squares_image,
                      nmbdca_line_search, quantize_u8, solve)
+from dcboost import dc_core
 from dcboost.cli import _TraceStream
 from dcboost.dc_core import DcModel, solve_lanes
 from dcboost.toy_problems import default_basin_config
@@ -23,7 +25,7 @@ from oracles import (quadl1_criticality_gap, scad_criticality_gap,
 class QuadraticModel(DcModel):
     """Smooth test split: g = (3/2)||x||^2, h = (1/2)||x||^2, phi = ||x||^2."""
 
-    dim = 2
+    shape = (2,)
     rho = 1.0
 
     def phi(self, x):
@@ -242,7 +244,7 @@ def test_nmbdca_allowance_schedule(k, dsq, expected):
     # pin the allowance through behavior: a constant-bump objective is
     # accepted at the first rung iff bump <= v_k - alpha*lam*||d||^2
     class Bump(DcModel):
-        dim = 1
+        shape = (1,)
         rho = 1.0
 
         def solve_subproblem_with_info(self, x):
@@ -290,26 +292,50 @@ def test_nmbdca_accepted_step_respects_documented_inequality():
 @pytest.mark.parametrize("max_backtracks", [200, 1000])
 def test_ibdca_long_walk_matches_rung_by_rung_oracle(max_backtracks):
     # on this quadratic phi(x + lam*d) <= phi(y) only for lam <= 2, which
-    # lambda_bar 100 and beta 0.99 reach after ~390 rungs, so the walk
-    # forms the ladder in several pieces (and is cut short at 200)
+    # lambda_bar 100 and beta 0.99 reach after ~390 rungs (the walk is cut
+    # short at 200)
     model = QuadraticModel()
     cfg = SolverConfig(variant=Variant.IBDCA, alpha=0.2, beta=0.99,
                        lambda_bar=100.0, max_backtracks=max_backtracks)
     x = np.array([1.0, -2.0])
     y, d = linearized_step(model, x)
 
-    expected, lam, j = None, cfg.lambda_bar, 0
-    while expected is None and lam > 1.0 and j < max_backtracks:
-        val = model.phi(x + lam * d)
-        if (val <= model.phi(x) - 0.2 * lam * np.vdot(d, d)
-                and val <= model.phi(y)):
-            expected = (lam, j)
-        lam *= 0.99
-        j += 1
-    if expected is None:
-        expected = (1.0, j)
-    assert ibdca_line_search(model, x, y, d, cfg) == expected
-    assert expected[1] > 100
+    lam, backtracks, _, _ = oracles.line_search_walk(model, Variant.IBDCA,
+                                                     x, y, d, 0, cfg)
+    assert ibdca_line_search(model, x, y, d, cfg) == (lam, backtracks)
+    assert backtracks > 100
+
+
+@pytest.mark.parametrize("max_backtracks", [1, 7, 60, 64, 65, 200])
+@pytest.mark.parametrize("variant", ["bdca", "nmbdca", "ibdca"])
+def test_lane_walk_matches_rung_by_rung_oracle(variant, max_backtracks):
+    # 40 lanes of 2 entries try 51 rungs per phi_lanes call, so the deeper
+    # ladders take several calls; the Armijo floors differ from lane to lane
+    variant = Variant(variant)
+    X = np.random.default_rng(19).uniform(-3.0, 3.0, size=(40, 2))
+    k = 4
+    deepest = 0
+    for model in (QuadL1Problem(), ScadSeparableProblem()):
+        Y, _ = model.subproblem_lanes(X)
+        D = Y - X
+        dsq = dc_core._sqnorms(D)
+        assert np.all(dsq > 0.0)
+        phi_x = model.phi_lanes(X)
+        for beta, lambda_bar in itertools.product((0.5, 0.95), (3.0, 100.0)):
+            cfg = SolverConfig(variant=variant, beta=beta,
+                               lambda_bar=lambda_bar,
+                               max_backtracks=max_backtracks)
+            lam, bt, points, values = dc_core._step(model, variant, k, X, Y,
+                                                    D, dsq, phi_x, cfg)
+            for i in range(len(X)):
+                want = oracles.line_search_walk(model, variant, X[i], Y[i],
+                                                D[i], k, cfg)
+                assert (lam[i], bt[i]) == want[:2], (model, cfg, i)
+                assert np.array_equal(points[i], want[2])
+                assert values[i] == want[3]
+            deepest = max(deepest, int(bt.max()))
+    # some lane walks to the end of the ladder, or past 64 rungs
+    assert deepest == max_backtracks or deepest > 64
 
 
 @pytest.mark.parametrize("variant", ["bdca", "nmbdca", "ibdca"])
@@ -474,6 +500,19 @@ def test_solve_attaches_partial_trace_on_subproblem_failure():
 def test_solve_lanes_rejects_an_empty_stack(model):
     with pytest.raises(ValueError, match="empty stack of starts"):
         solve_lanes(model, np.empty((0, 2)), SolverConfig())
+
+
+@pytest.mark.parametrize("model", [QuadL1Problem(), ScadSeparableProblem()],
+                         ids=["quadl1", "scad"])
+def test_solve_rejects_a_start_of_the_wrong_shape(model):
+    # a 1x2 start has the model's two entries but not its point shape
+    with pytest.raises(ValueError, match=r"shape \(1, 1, 2\).*shape \(2,\)"):
+        solve(model, [[1.0, 2.0]], SolverConfig())
+
+
+def test_solve_lanes_rejects_a_start_without_a_lane_axis():
+    with pytest.raises(ValueError, match=r"shape \(\).*shape \(2,\)"):
+        solve_lanes(QuadL1Problem(), np.float64(1.0), SolverConfig())
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -188,6 +188,15 @@ def test_pgm_write_quantizes(tmp_path):
     assert np.array_equal(read_pgm(path), [[0.0, 255.0], [2.0, 2.0]])
 
 
+def test_pgm_write_rejects_nan_and_clamps_infinities(tmp_path):
+    path = tmp_path / "nan.pgm"
+    with pytest.raises(ValueError, match="NaN"):
+        write_pgm(path, [[math.nan, 1.0], [2.0, 3.0]])
+    assert not path.exists()
+    write_pgm(path, [[-math.inf, 1.0], [2.0, math.inf]])
+    assert np.array_equal(read_pgm(path), [[0.0, 1.0], [2.0, 255.0]])
+
+
 # ---------------------------------------------------------------------------
 # synthetic test image
 # ---------------------------------------------------------------------------

@@ -292,6 +292,12 @@ def test_basin_empty_points_rejected():
                          points=np.empty((0, 2)))
 
 
+def test_basin_points_of_the_wrong_shape_rejected():
+    # four 3-vectors are not six 2-vectors
+    with pytest.raises(ValueError, match=r"shape \(4, 3\).*shape \(2,\)"):
+        basin_experiment(None, 7, "ibdca", points=np.zeros((4, 3)))
+
+
 def _lane_starts():
     """About 300 starts: uniform ones, every pair of breakpoints |u| in
     {0, 1, 2}, and a breakpoint in one coordinate with a uniform other."""
