@@ -70,9 +70,11 @@ class Status(str, Enum):
 class SubproblemError(RuntimeError):
     """The convex subproblem solver produced unusable output.
 
-    Carries the inner residual, and :func:`solve` attaches the partial outer
-    trace so a failed run can still be inspected; like every returned
-    record, those of the partial trace hold no iterate (``x`` is None).
+    Carries the inner residual (the offending value when the outer loop
+    finds a non-finite direction or objective), and :func:`solve` attaches
+    the partial outer trace so a failed run can still be inspected; like
+    every returned record, those of the partial trace hold no iterate
+    (``x`` is None).
     """
 
     def __init__(self, message, residual):
@@ -283,18 +285,22 @@ def _backtrack(model, base, D, cfg, floor, bound, fallback):
         # each lane may try its rungs not below its floor, a prefix of the
         # batch; the batch ends at the deepest rung any lane may try
         lane_floor = _rows(floor, lanes)
-        allowed = ladder[:, None] >= lane_floor
-        count = allowed.sum(axis=0)
-        deepest = count.max()
-        lam, allowed = ladder[:deepest, None], allowed[:deepest]
+        allowed = count = None  # every lane may try every rung
+        if ladder[-1] < lane_floor.max():
+            allowed = ladder[:, None] >= lane_floor
+            count = allowed.sum(axis=0)
+            deepest = count.max()
+            ladder, allowed = ladder[:deepest], allowed[:deepest]
+        lam = ladder[:, None]
         trial = (_rows(base, lanes)
                  + lam.reshape(lam.shape + (1,) * len(point_shape))
                  * _rows(D, lanes))
         got = model.phi_lanes(trial.reshape((-1,) + point_shape))
         got = got.reshape(len(lam), -1)
-        ok = (got <= bound(lanes, lam)) & allowed
+        ok = got <= bound(lanes, lam)
+        if allowed is not None:
+            ok &= allowed
         hit = ok.any(axis=0)
-        bt_out[lanes] = j + count
         if hit.any():
             col = np.flatnonzero(hit)
             rung = ok[:, col].argmax(axis=0)
@@ -303,10 +309,16 @@ def _backtrack(model, base, D, cfg, floor, bound, fallback):
             bt_out[done] = j + rung
             points[done] = trial[rung, col]
             values[done] = got[rung, col]
-        j += len(lam)
         next_lam = lam[-1, 0] * cfg.beta
-        # the lanes that go on accepted no rung and may try the next
-        lanes = lanes[~hit & (lane_floor <= next_lam)]
+        # the lanes that go on accepted no rung and may try the next; those
+        # that stop at their floor leave with a backtrack per allowed rung
+        miss = ~hit
+        go_on = miss & (lane_floor <= next_lam)
+        stop = miss ^ go_on
+        bt_out[lanes[stop]] = j + (len(lam) if count is None else count[stop])
+        j += len(lam)
+        lanes = lanes[go_on]
+    bt_out[lanes] = j  # out of rungs: every one was allowed
     return lam_out, bt_out, points, values
 
 
@@ -409,7 +421,7 @@ def solve_lanes(model, X0, cfg, on_record=None):
     :class:`IterateRecord` as it is produced; its ``x`` is valid only
     during that call and None afterwards.  Raises
     :class:`SubproblemError` when the subproblem solver breaks down on any
-    lane.
+    lane, or when a lane's step accepts a non-finite objective value.
     """
     x = np.array(X0, dtype=float)
     if x.ndim == 0 or x.shape[1:] != model.shape:
@@ -472,6 +484,12 @@ def solve_lanes(model, X0, cfg, on_record=None):
 
         lam, bt, x_next, phi_next = _step(model, cfg.variant, k, x, y, d, dsq,
                                           phi_x, cfg)
+        # dead from here, so the next subproblem's buffers do not sit on them
+        del y, d
+        bad = ~np.isfinite(phi_next)
+        if bad.any():
+            raise SubproblemError("the step accepted a non-finite objective "
+                                  "value", residual=float(phi_next[bad][0]))
         if on_record is not None:
             emit(k, range(len(lanes)), lam, bt)
         res.backtracks[lanes] += bt

@@ -136,10 +136,19 @@ def div(p):
     return d
 
 
+# The evaluators below run once or more per outer iteration.  Each writes
+# with out= into the one or two rasters it allocates, in the operation order
+# of the plain allocating expression in its comments (kept in the tests as
+# the reference), so its result is bitwise that expression's.
+
+
 def tv(u):
     """Isotropic discrete total variation: sum of sqrt(px^2 + py^2)."""
-    px, py = grad(u)
-    return float(np.sqrt(px * px + py * py).sum())
+    g = grad(u)
+    s = g[0]  # sqrt(px*px + py*py), over px
+    np.multiply(g, g, out=g)
+    np.add(g[0], g[1], out=s)
+    return float(np.sqrt(s, out=s).sum())
 
 
 def energy(u, model):
@@ -149,7 +158,11 @@ def energy(u, model):
         raise ValueError(f"image shape {u.shape} does not match observation "
                          f"shape {model.f.shape}")
     r = u - model.f
-    fidelity = 0.5 * model.mu * float(np.log(model.gamma ** 2 + r * r).sum())
+    # log(gamma^2 + r*r), over r
+    np.multiply(r, r, out=r)
+    np.add(r, model.gamma ** 2, out=r)
+    fidelity = 0.5 * model.mu * float(np.log(r, out=r).sum())
+    del r  # freed before tv allocates its gradient
     return tv(u) + fidelity
 
 
@@ -161,7 +174,13 @@ def grad_h_cauchy(u, model):
     """
     u = np.asarray(u, dtype=float)
     r = u - model.f
-    return model.c * u - model.mu * r / (model.gamma ** 2 + r * r)
+    # c*u - mu*r / (gamma^2 + r*r), in s and r
+    s = np.multiply(r, r)
+    np.add(s, model.gamma ** 2, out=s)
+    np.multiply(r, model.mu, out=r)
+    np.divide(r, s, out=r)
+    np.multiply(u, model.c, out=s)
+    return np.subtract(s, r, out=s)
 
 
 @dataclass

@@ -13,7 +13,9 @@ evaluators of both model families, the second derivative of the Cauchy
 smooth part and the criticality gaps dist(grad_h(x), subdiff g(x)) are
 test oracles too: the solvers never need them.  The TV primal-dual loop is
 kept here in its plain allocating form, each step a fresh array, as the
-reference that the library's preallocated kernel must match bit for bit.
+reference that the library's preallocated kernel must match bit for bit;
+so are ``tv``, ``energy`` and ``grad_h_cauchy``, which the library writes
+into the rasters they allocate.
 :func:`line_search_walk` walks one lane's line search rung by rung, the
 reference of the lane loop's batched walk.  Last,
 :func:`solve_keeping_iterates` keeps the iterates of a solve for the tests
@@ -187,6 +189,28 @@ def tv_prox_reference(v, c, cfg, u0=None):
             converged = True
             break
     return TvProxResult(u_hat, iters, resid, converged)
+
+
+def tv_reference(u):
+    """tv as the plain expression, on a C-ordered copy of u: the library's
+    grad works on one, and the sum runs in memory order."""
+    px, py = grad_reference(np.ascontiguousarray(u, dtype=float))
+    return float(np.sqrt(px * px + py * py).sum())
+
+
+def energy_reference(u, model):
+    """The Cauchy restoration energy, every step allocating its result."""
+    u = np.asarray(u, dtype=float)
+    r = u - model.f
+    fidelity = 0.5 * model.mu * float(np.log(model.gamma ** 2 + r * r).sum())
+    return tv_reference(u) + fidelity
+
+
+def grad_h_reference(u, model):
+    """grad_h_cauchy, every step allocating its result."""
+    u = np.asarray(u, dtype=float)
+    r = u - model.f
+    return model.c * u - model.mu * r / (model.gamma ** 2 + r * r)
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,20 @@ def test_solve_attaches_partial_trace_on_subproblem_failure():
     assert all(rec.x is None for rec in excinfo.value.trace)
 
 
+@pytest.mark.parametrize("variant", list(Variant))
+def test_solve_raises_when_a_step_accepts_a_non_finite_value(variant):
+    # phi is NaN below v = 1.5, where every variant's first step from (1, 2)
+    # lands; the loop must not run on to a critical point with phi NaN
+    class NanBelow(QuadL1Problem):
+        def phi(self, x):
+            return math.nan if x[1] < 1.5 else super().phi(x)
+
+    with pytest.raises(SubproblemError, match="non-finite objective") as err:
+        solve(NanBelow(), np.array([1.0, 2.0]), SolverConfig(variant=variant))
+    assert math.isnan(err.value.residual)
+    assert err.value.trace == []
+
+
 @pytest.mark.parametrize("model", [QuadL1Problem(), ScadSeparableProblem()],
                          ids=["quadl1", "scad"])
 def test_solve_lanes_rejects_an_empty_stack(model):

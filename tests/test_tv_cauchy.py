@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,62 @@ def test_grad_h_matches_finite_differences():
         fd = oracles.central_fd_directional(h_value, u, direction, step=1e-5)
         analytic = float(np.vdot(g, direction))
         assert abs(fd - analytic) <= 1e-6 * max(abs(analytic), 1.0)
+
+
+def test_evaluators_bitwise_equal_allocating_references():
+    # tv, energy and grad_h_cauchy write into the rasters they allocate, in
+    # the order of the plain expressions: the bits must be theirs whatever
+    # the layout (a sum runs in memory order) or magnitude, and the inputs
+    # must come back untouched
+    rng = np.random.default_rng(59)
+    for shape in ((2, 7), (7, 2), (2, 2), (9, 6)):
+        m, n = shape
+        f = rng.uniform(0.0, 255.0, size=shape)
+        for scale in (1.0, 1e150, -1e150):
+            u = scale * rng.normal(size=shape)
+            strided = np.empty((2 * m, 3 * n))
+            strided[::2, 1::3] = u
+            for f_layout in (f, np.asfortranarray(f)):
+                model = CauchyModel(f_layout, mu=15.0, gamma=3.0, c=1.83)
+                for layout in (u, np.asfortranarray(u), strided[::2, 1::3]):
+                    kept_u, kept_f = layout.copy(), f_layout.copy()
+                    case = (shape, scale, f_layout.flags.c_contiguous,
+                            layout.flags.c_contiguous,
+                            layout.flags.f_contiguous)
+                    assert (_bits(tv(layout))
+                            == _bits(oracles.tv_reference(layout))), case
+                    assert (_bits(energy(layout, model)) == _bits(
+                        oracles.energy_reference(layout, model))), case
+                    assert np.array_equal(
+                        _bits(grad_h_cauchy(layout, model)),
+                        _bits(oracles.grad_h_reference(layout, model))), case
+                    assert np.array_equal(_bits(layout), _bits(kept_u)), case
+                    assert np.array_equal(_bits(f_layout), _bits(kept_f))
+
+
+def test_evaluators_and_solve_peak_memory_in_rasters():
+    # traced peaks in 128x128 rasters: energy holds its fidelity residual,
+    # then tv's gradient pair; grad_h_cauchy its result and one residual; a
+    # solve the eight tv_prox buffers over x, grad_h(x) and the lane
+    # result's final point, the last iteration's y and d already dropped
+    clean = make_squares_image(128, 128)
+    noisy = quantize_u8(add_cauchy_noise(clean, NoiseSpec(gamma=3.0, seed=7)))
+    model = CauchyModel(noisy, mu=15.0, gamma=3.0, c=1.83)
+    cfg = SolverConfig(variant=Variant.IBDCA, max_outer_iter=4)
+
+    def rasters(call):
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1] / noisy.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert rasters(lambda: energy(noisy, model))[1] <= 2.1
+    assert rasters(lambda: grad_h_cauchy(noisy, model))[1] <= 3.0
+    result, peak = rasters(lambda: solve(model, noisy, cfg))
+    assert len(result.trace) == 4
+    assert peak <= 11.5
 
 
 def test_second_derivative_threshold():
