@@ -285,22 +285,18 @@ def _backtrack(model, base, D, cfg, floor, bound, fallback):
         # each lane may try its rungs not below its floor, a prefix of the
         # batch; the batch ends at the deepest rung any lane may try
         lane_floor = _rows(floor, lanes)
-        allowed = count = None  # every lane may try every rung
-        if ladder[-1] < lane_floor.max():
-            allowed = ladder[:, None] >= lane_floor
-            count = allowed.sum(axis=0)
-            deepest = count.max()
-            ladder, allowed = ladder[:deepest], allowed[:deepest]
-        lam = ladder[:, None]
+        allowed = ladder[:, None] >= lane_floor
+        count = allowed.sum(axis=0)
+        deepest = count.max()
+        lam, allowed = ladder[:deepest, None], allowed[:deepest]
         trial = (_rows(base, lanes)
                  + lam.reshape(lam.shape + (1,) * len(point_shape))
                  * _rows(D, lanes))
         got = model.phi_lanes(trial.reshape((-1,) + point_shape))
         got = got.reshape(len(lam), -1)
-        ok = got <= bound(lanes, lam)
-        if allowed is not None:
-            ok &= allowed
+        ok = (got <= bound(lanes, lam)) & allowed
         hit = ok.any(axis=0)
+        bt_out[lanes] = j + count
         if hit.any():
             col = np.flatnonzero(hit)
             rung = ok[:, col].argmax(axis=0)
@@ -309,16 +305,10 @@ def _backtrack(model, base, D, cfg, floor, bound, fallback):
             bt_out[done] = j + rung
             points[done] = trial[rung, col]
             values[done] = got[rung, col]
-        next_lam = lam[-1, 0] * cfg.beta
-        # the lanes that go on accepted no rung and may try the next; those
-        # that stop at their floor leave with a backtrack per allowed rung
-        miss = ~hit
-        go_on = miss & (lane_floor <= next_lam)
-        stop = miss ^ go_on
-        bt_out[lanes[stop]] = j + (len(lam) if count is None else count[stop])
         j += len(lam)
-        lanes = lanes[go_on]
-    bt_out[lanes] = j  # out of rungs: every one was allowed
+        next_lam = lam[-1, 0] * cfg.beta
+        # the lanes that go on accepted no rung and may try the next
+        lanes = lanes[~hit & (lane_floor <= next_lam)]
     return lam_out, bt_out, points, values
 
 

@@ -223,7 +223,7 @@ def test_evaluators_and_solve_peak_memory_in_rasters():
             tracemalloc.stop()
 
     assert rasters(lambda: energy(noisy, model))[1] <= 2.1
-    assert rasters(lambda: grad_h_cauchy(noisy, model))[1] <= 3.0
+    assert rasters(lambda: grad_h_cauchy(noisy, model))[1] <= 2.1
     result, peak = rasters(lambda: solve(model, noisy, cfg))
     assert len(result.trace) == 4
     assert peak <= 11.5
