@@ -69,30 +69,45 @@ def main(argv=None):
 
 
 def build_parser():
+    # the flags toy, basin and denoise share; the solver flags default to
+    # None, and each command overlays the ones given onto its own defaults
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--variant", choices=[v.value for v in Variant],
+                        default="ibdca")
+    shared.add_argument("--alpha", type=float,
+                        help="sufficient-decrease coefficient")
+    shared.add_argument("--beta", type=float,
+                        help="backtracking shrink factor")
+    shared.add_argument("--lambda-bar", type=float,
+                        help="first trial step (default depends on variant)")
+    shared.add_argument("--max-iter", type=int)
+    shared.add_argument("--tol-rel-energy", type=float,
+                        help="relative objective-change stop (<= 0 disables)")
+    shared.add_argument("--tol-direction", type=float,
+                        help="||d|| threshold declaring a critical point")
+    shared.add_argument("--max-backtracks", type=int)
+    shared.add_argument("--out-dir", default=".")
+
     parser = argparse.ArgumentParser(
         prog="dcboost",
         description="Difference-of-convex solvers with boosted line searches.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    toy = sub.add_parser("toy", help="run one solver on an analytic 2-D problem")
+    toy = sub.add_parser("toy", parents=[shared],
+                         help="run one solver on an analytic 2-D problem")
     toy.add_argument("--example", choices=("quadl1", "scad"), required=True)
     toy.add_argument("--x0", type=point, required=True, metavar="U,V",
                      help="starting point, e.g. 0.5,1")
-    _add_variant_flag(toy)
-    _add_solver_flags(toy)
-    _add_out_dir(toy)
     toy.set_defaults(func=cmd_toy)
 
-    basin = sub.add_parser("basin",
+    basin = sub.add_parser("basin", parents=[shared],
                            help="attractor counts over random starts")
     basin.add_argument("--n", type=int, required=True)
     basin.add_argument("--seed", type=int, default=0)
-    _add_variant_flag(basin)
-    _add_solver_flags(basin)
-    _add_out_dir(basin)
     basin.set_defaults(func=cmd_basin)
 
-    den = sub.add_parser("denoise", help="restore a Cauchy-noise image")
+    den = sub.add_parser("denoise", parents=[shared],
+                         help="restore a Cauchy-noise image")
     src = den.add_mutually_exclusive_group(required=True)
     src.add_argument("--synthetic", action="store_true",
                      help="generate the squares test image as clean input")
@@ -111,11 +126,8 @@ def build_parser():
                      help="fidelity weight (default 15 at gamma=3, 20 at 5)")
     den.add_argument("--c", type=float, default=None,
                      help="strong-convexity shift (default: tuned per gamma)")
-    _add_variant_flag(den)
-    _add_solver_flags(den)
     den.add_argument("--inner-max-iter", type=int)
     den.add_argument("--inner-tol", type=float)
-    _add_out_dir(den)
     den.set_defaults(func=cmd_denoise)
 
     met = sub.add_parser("metrics", help="PSNR and relative error of a vs b")
@@ -136,13 +148,7 @@ def size(text):
     return (int(m1), int(m2))
 
 
-def _add_variant_flag(p):
-    p.add_argument("--variant", choices=[v.value for v in Variant],
-                   default="ibdca")
-
-
-# flag (argparse dest) -> SolverConfig / PdConfig field.  The flags default
-# to None; each command overlays the ones given onto its own defaults.
+# flag (argparse dest) -> SolverConfig / PdConfig field
 _INNER_FLAGS = {"inner_max_iter": "max_inner_iter", "inner_tol": "tol_inner"}
 _SOLVER_FLAGS = {
     "alpha": "alpha",
@@ -153,24 +159,6 @@ _SOLVER_FLAGS = {
     "tol_direction": "tol_direction",
     "max_backtracks": "max_backtracks",
 }
-
-
-def _add_solver_flags(p):
-    p.add_argument("--alpha", type=float,
-                   help="sufficient-decrease coefficient")
-    p.add_argument("--beta", type=float, help="backtracking shrink factor")
-    p.add_argument("--lambda-bar", type=float,
-                   help="first trial step (default depends on variant)")
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol-rel-energy", type=float,
-                   help="relative objective-change stop (<= 0 disables)")
-    p.add_argument("--tol-direction", type=float,
-                   help="||d|| threshold declaring a critical point")
-    p.add_argument("--max-backtracks", type=int)
-
-
-def _add_out_dir(p):
-    p.add_argument("--out-dir", default=".")
 
 
 def _denoise_defaults(variant, rho):
@@ -353,17 +341,14 @@ def cmd_denoise(args):
         result = solve(model, noisy, cfg, on_record=on_record)  # u0 = f
     outputs["trace"] = trace_path
     restored_q = quantize_u8(result.final_point)
-    restored_path = out_dir / "restored.pgm"
-    write_pgm(restored_path, restored_q)
-    outputs["restored"] = restored_path
+    images = {"restored": restored_q}
     if source != "input":
-        noisy_path = out_dir / "noisy.pgm"
-        write_pgm(noisy_path, noisy)
-        outputs["noisy"] = noisy_path
+        images["noisy"] = noisy
     if clean is not None:
-        clean_path = out_dir / "clean.pgm"
-        write_pgm(clean_path, clean)
-        outputs["clean"] = clean_path
+        images["clean"] = clean
+    for name, image in images.items():
+        outputs[name] = out_dir / f"{name}.pgm"
+        write_pgm(outputs[name], image)
 
     summary = {
         "status": result.status.value,

@@ -71,16 +71,13 @@ class SubproblemError(RuntimeError):
     """The convex subproblem solver produced unusable output.
 
     Carries the inner residual (the offending value when the outer loop
-    finds a non-finite direction or objective), and :func:`solve` attaches
-    the partial outer trace so a failed run can still be inspected; like
-    every returned record, those of the partial trace hold no iterate
-    (``x`` is None).
+    finds a non-finite direction or objective).  Callers keep the records
+    before a failure through ``on_record``.
     """
 
     def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
-        self.trace = []
 
 
 class DcModel(ABC):
@@ -424,7 +421,7 @@ def solve_lanes(model, X0, cfg, on_record=None):
     if not np.all(np.isfinite(phi_x)):
         raise ValueError("phi(x0) is not finite; x0 lies outside dom g")
 
-    res = LaneResult(np.empty_like(x), np.empty(n),
+    res = LaneResult(None, np.empty(n),
                      np.full(n, Status.MAX_ITERATIONS, dtype=object),
                      *(np.zeros(n, dtype=int) for _ in range(4)))
     lanes = np.arange(n)
@@ -441,6 +438,8 @@ def solve_lanes(model, X0, cfg, on_record=None):
 
     def retire(stop, status):
         # lanes flagged in ``stop`` end at their current point
+        if res.final_points is None:  # not held through the subproblems
+            res.final_points = np.empty((n,) + x.shape[1:])
         idx = lanes[stop]
         res.final_points[idx] = x[stop]
         res.final_phi[idx] = phi_x[stop]
@@ -522,8 +521,8 @@ def solve(model, x0, cfg, on_record=None):
     the returned trace holds no iterates, so memory stays flat in outer
     iterations, and callers who need them keep them in ``on_record``.
 
-    Raises :class:`SubproblemError` with the partial trace attached when the
-    subproblem solver breaks down.
+    Raises :class:`SubproblemError` when the subproblem solver breaks down;
+    the records before the failure have then been passed to ``on_record``.
     """
     trace = []
 
@@ -532,12 +531,8 @@ def solve(model, x0, cfg, on_record=None):
         if on_record is not None:
             on_record(record)
 
-    try:
-        res = solve_lanes(model, np.asarray(x0, dtype=float)[None], cfg,
-                          on_record=collect)
-    except SubproblemError as err:
-        err.trace = trace
-        raise
+    res = solve_lanes(model, np.asarray(x0, dtype=float)[None], cfg,
+                      on_record=collect)
     return SolveResult(res.final_points[0], float(res.final_phi[0]),
                        res.status[0], trace,
                        int(res.monotone_violations[0]),

@@ -118,19 +118,21 @@ def _scad_h_tilde_prime_lanes(u):
     return out
 
 
-# g~ at its breakpoints -2, 0, 2, the subproblem's fixed candidates
-_G_AT_BREAKPOINTS = _scad_g_tilde_lanes(np.array([-2.0, 0.0, 2.0])).tolist()
+# g~ at its breakpoints 0 and 2, the subproblem's fixed candidates
+_G_AT_BREAKPOINTS = _scad_g_tilde_lanes(np.array([0.0, 2.0])).tolist()
 
 
 def _scad_subproblem_lanes(w):
-    """argmin_t g~(t) - w*t elementwise: the best of the breakpoints and of
-    the branches' stationary points inside their intervals.  A candidate
-    must be strictly smaller to replace the best: ties go to the first.
-    A stationary point inside its interval is the minimizer, so it also
-    wins where its value overflows to inf - inf = nan (|w| above ~3e154).
+    """argmin_t g~(t) - w*t elementwise.  g~ is even, so this takes the
+    best of the breakpoints 0, 2 and the stationary points of (0, 2) and
+    [2, inf) for a = |w|, then the sign of w.  A candidate must be strictly
+    smaller to replace the best: ties go to the first.  A stationary point
+    inside its interval is the minimizer, so it also wins where its value
+    overflows to inf - inf = nan (|w| above ~3e154).  NaN gives 0.
     """
-    best = np.full_like(w, -2.0)
-    best_val = _G_AT_BREAKPOINTS[0] - w * -2.0
+    a = np.abs(w)
+    best = np.zeros_like(a)
+    best_val = _G_AT_BREAKPOINTS[0] - a * 0.0
 
     def offer(t, val, inside=None):
         better = val < best_val
@@ -140,17 +142,13 @@ def _scad_subproblem_lanes(w):
         np.copyto(best, t, where=better)
         np.copyto(best_val, val, where=better)
 
-    for c, g_c in zip((0.0, 2.0), _G_AT_BREAKPOINTS[1:]):
-        offer(c, g_c - w * c)
-    t = 2.5 * (w - 1.0)              # (0, 2):       1 + 2t/5 = w
-    offer(t, _scad_g_tilde_lanes(t) - w * t, (0.0 < t) & (t < 2.0))
-    t = 5.0 * (w + 3.0) / 12.0       # [2, inf):     1 + 2(t-2) + 2t/5 = w
-    offer(t, _scad_g_tilde_lanes(t) - w * t, t >= 2.0)
-    t = 2.5 * (w + 1.0)              # (-2, 0):     -1 + 2t/5 = w
-    offer(t, _scad_g_tilde_lanes(t) - w * t, (-2.0 < t) & (t < 0.0))
-    t = 5.0 * (w - 3.0) / 12.0       # (-inf, -2]:  -1 + 2(t+2) + 2t/5 = w
-    offer(t, _scad_g_tilde_lanes(t) - w * t, t <= -2.0)
-    return best
+    offer(2.0, _G_AT_BREAKPOINTS[1] - a * 2.0)
+    t = 2.5 * (a - 1.0)              # (0, 2):    1 + 2t/5 = a
+    offer(t, _scad_g_tilde_lanes(t) - a * t, (0.0 < t) & (t < 2.0))
+    t = 5.0 * (a + 3.0) / 12.0       # [2, inf):  1 + 2(t-2) + 2t/5 = a
+    offer(t, _scad_g_tilde_lanes(t) - a * t, t >= 2.0)
+    # 0 - t, not -t: a zero minimizer stays +0 for negative w
+    return np.subtract(0.0, best, out=best, where=w < 0.0)
 
 
 class ScadSeparableProblem(DcModel):

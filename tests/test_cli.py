@@ -176,6 +176,26 @@ def test_toy_and_basin_solver_flags_default_to_basin_config(variant, tmp_path,
         assert {key: manifest["flags"][key] for key in expected} == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["toy", "--example", "scad", "--x0", "2.2,0.4"],
+    ["basin", "--n", "5"],
+    ["denoise", "--synthetic", "--size", "16x16"],
+], ids=["toy", "basin", "denoise"])
+def test_shared_flags_reach_the_manifest(argv, tmp_path):
+    # a value of each shared flag that neither the basin nor the denoise
+    # defaults use, so a flag a command dropped would show
+    given = {"variant": "nmbdca", "alpha": 0.15, "beta": 0.6,
+             "lambda_bar": 2.5, "max_iter": 7, "tol_rel_energy": 1e-3,
+             "tol_direction": 1e-7, "max_backtracks": 9,
+             "out_dir": str(tmp_path / "out")}
+    flags = [text for key, value in given.items()
+             for text in ("--" + key.replace("_", "-"), str(value))]
+    assert main(argv + flags) == 0
+    manifest = json.loads(
+        (tmp_path / "out" / f"{argv[0]}_manifest.json").read_text())
+    assert {key: manifest["flags"][key] for key in given} == given
+
+
 @pytest.mark.parametrize("unbuffered", [True, False])
 def test_closed_stdout_exits_1_quietly(unbuffered, tmp_path):
     # the reader of stdout is gone before the first line is written, as

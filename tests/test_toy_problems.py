@@ -201,12 +201,51 @@ def test_scad_lane_methods_bitwise_match_per_point():
         assert model.phi(x) == phi
         assert np.array_equal(subproblem_point(model, x).view(np.int64),
                               y.view(np.int64))
-    # the subproblem's fixed candidates g~(-2), g~(0), g~(2)
+    # the subproblem's fixed candidates g~(0), g~(2)
     corners = np.array(toy_problems._G_AT_BREAKPOINTS)
     assert np.array_equal(corners.view(np.int64),
-                          np.array([2.8, 0.0, 2.8]).view(np.int64))
+                          np.array([0.0, 2.8]).view(np.int64))
     assert toy_problems._G_AT_BREAKPOINTS == [
-        scad_g_tilde(c) for c in (-2.0, 0.0, 2.0)]
+        scad_g_tilde(c) for c in (0.0, 2.0)]
+
+
+def _ulp_window(c, n=5000):
+    """c >= 0 and its n floating-point neighbours on each side (above only,
+    for c = 0)."""
+    bits = np.float64(c).view(np.int64) + np.arange(-n, n + 1)
+    return bits[bits >= 0].view(np.float64)
+
+
+def test_scad_subproblem_for_abs_w_bitwise_matches_oracle():
+    # the lane form solves for |w| and puts back the sign of w; the oracle
+    # tries all three breakpoints and four stationary points.  The windows
+    # hold the pulls where the best candidate changes: 0 and the breakpoint
+    # 2 tie at |w| = 1.4, the stationary point of (0, 2) enters at 1 and
+    # leaves at 1.8, where h~' meets its own breakpoints u = 10/7 and 2
+    us = np.concatenate([_ulp_window(c) for c in (2.0, 10.0 / 7.0)])
+    pulls = [scad_h_tilde_prime(float(u)) for u in np.concatenate([us, -us])]
+    w = np.concatenate([_ulp_window(c) for c in (0.0, 1.0, 1.4, 1.8)]
+                       + [pulls, [1e154]])
+    w = np.concatenate([w, -w])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = toy_problems._scad_subproblem_lanes(w)
+    ref = np.array([scad_subproblem_1d(x) for x in w])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    # beyond ~3e154 the oracle's values overflow; the minimizer is the
+    # stationary point of |t| >= 2, whose value there is inf - inf
+    huge = np.array([3e154, 1e300, np.inf, -3e154, -1e300, -np.inf])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = toy_problems._scad_subproblem_lanes(huge)
+    assert np.array_equal(got, np.copysign(5.0 * (abs(huge) + 3.0) / 12.0,
+                                           huge))
+    # a NaN pull gives +0; no solve passes one, since a NaN coordinate makes
+    # phi(x0) NaN, which solve rejects
+    with np.errstate(invalid="ignore"):
+        got = toy_problems._scad_subproblem_lanes(np.array([np.nan]))
+    assert got.view(np.int64).tolist() == [0]
+    with pytest.raises(ValueError, match="not finite"):
+        solve(ScadSeparableProblem(), np.array([np.nan, 0.0]),
+              default_basin_config(Variant.IBDCA))
 
 
 def test_scad_methods_do_not_warn_on_huge_entries():
