@@ -477,6 +477,27 @@ def test_solve_max_iterations_status():
     assert len(result.trace) == 3
 
 
+def test_solve_attaches_partial_trace_on_subproblem_failure():
+    # the boosted path: a line search runs between the subproblems, and the
+    # records before the failing third one still reach on_record
+    class BreaksAtThird(QuadraticModel):
+        calls = 0
+
+        def solve_subproblem_with_info(self, x):
+            BreaksAtThird.calls += 1
+            if BreaksAtThird.calls >= 3:
+                return np.array([math.nan, math.nan]), {}
+            return np.asarray(x, dtype=float) / 3.0, {}
+
+    kept = []
+    with pytest.raises(SubproblemError, match="non-finite"):
+        solve(BreaksAtThird(), np.array([9.0, 9.0]),
+              ibdca_cfg(tol_direction=0.0), on_record=kept.append)
+    assert [rec.k for rec in kept] == [0, 1]
+    # the partial trace keeps no iterate alive
+    assert all(rec.x is None for rec in kept)
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_solve_raises_when_a_step_accepts_a_non_finite_value(variant):
     # phi is NaN below v = 1.5, where every variant's first step from (1, 2)
