@@ -270,6 +270,7 @@ def _backtrack(model, base, D, cfg, floor, bound, fallback):
     n = len(base)
     lam_out = np.full(n, fallback[0])
     bt_out = np.zeros(n, dtype=int)
+    # one lane's Y is the model's own array (subproblem_lanes): never write it
     points, values = fallback[1].copy(), fallback[2].copy()
     lanes = np.flatnonzero(floor <= cfg.lambda_bar)
     point_shape = base.shape[1:]

@@ -206,7 +206,7 @@ class TvProxResult(NamedTuple):
     converged: bool
 
 
-def tv_prox(v, c, cfg=None, u0=None):
+def tv_prox(v, c, cfg, u0):
     """Minimize tv(u) + (c/2)||u||^2 - <v, u>.
 
     Accelerated primal-dual iteration on the saddle-point form
@@ -214,8 +214,7 @@ def tv_prox(v, c, cfg=None, u0=None):
     dual ascent with pointwise projection of (px, py) onto the unit 2-ball,
     primal step (u + tau*div p + tau*v) / (1 + tau*c), and step sizes and
     extrapolation updated from the strong-convexity modulus c.  Starts from
-    u0 (default v/c) so outer iterations can warm start from their current
-    iterate.
+    u0, so outer iterations can warm start from their current iterate.
 
     The returned point is the primal recovered from the dual variable,
     u_hat = (v + div p)/c, which the saddle-point optimality condition makes
@@ -238,10 +237,8 @@ def tv_prox(v, c, cfg=None, u0=None):
     """
     if not 0.0 < 2.0 * c < math.inf:  # the step update forms 2*c*tau
         raise ValueError("c must be positive, with 2c finite")
-    cfg = PdConfig() if cfg is None else cfg
     v = _raster(v, "v")
-    u = v / c if u0 is None else np.array(u0, dtype=float, copy=True,
-                                          order="C")
+    u = np.array(u0, dtype=float, copy=True, order="C")
     if u.shape != v.shape:  # the flat views would see only the sizes
         raise ValueError(f"u0 shape {u.shape} does not match v shape "
                          f"{v.shape}")

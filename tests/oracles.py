@@ -30,7 +30,7 @@ import numpy as np
 from dcboost.dc_core import Variant, solve
 from dcboost.toy_problems import (ATTRACTOR_LABELS, ATTRACTORS,
                                   CLASSIFY_RADIUS, OTHER_LABEL)
-from dcboost.tv_cauchy import PD_STEP0, TvProxResult, div, grad, tv
+from dcboost.tv_cauchy import PD_STEP0, TvProxResult, tv
 
 
 def grid_argmin(fun, lo, hi, coarse=1e-3, fine=1e-6):
@@ -84,12 +84,16 @@ def forward_fd_directional(fun, x, direction, step=1e-6):
 
 
 def tv_prox_dual_fista(v, c, n_iter=20000):
-    """Reference solution of min_u tv(u) + (c/2)||u||^2 - <v, u>.
+    """Reference solutions of min_u tv(u) + (c/2)||u||^2 - <v, u> for each
+    raster of a ``(K, m, n)`` stack ``v``, all K at once.
 
     Works on the dual problem min_{||p||<=1 pointwise} (1/2c)||v + div p||^2
     with FISTA (step c/8 from the operator-norm bound) and recovers
     u = (v + div p)/c.  A different algorithm from the primal-dual loop
-    under test.
+    under test, with the slicing differences of :func:`grad_reference` and
+    :func:`div_reference` rather than the library's ``grad`` and ``div``.
+    Every step acts within a raster, and the momentum t is the same for
+    all, so each raster follows its own FISTA path.
     """
     v = np.asarray(v, dtype=float)
     px = np.zeros_like(v)
@@ -97,7 +101,7 @@ def tv_prox_dual_fista(v, c, n_iter=20000):
     qx, qy = px.copy(), py.copy()
     t = 1.0
     for _ in range(n_iter):
-        gx, gy = grad(v + div((qx, qy)))
+        gx, gy = grad_reference(v + div_reference((qx, qy)))
         nx = qx + gx / 8.0
         ny = qy + gy / 8.0
         mag = np.maximum(1.0, np.sqrt(nx * nx + ny * ny))
@@ -108,21 +112,12 @@ def tv_prox_dual_fista(v, c, n_iter=20000):
         qx = nx + w * (nx - px)
         qy = ny + w * (ny - py)
         px, py, t = nx, ny, t_new
-    return (v + div((px, py))) / c
-
-
-def tv_value(u):
-    """Isotropic TV recomputed from raw slicing, independent of grad()."""
-    u = np.asarray(u, dtype=float)
-    dx = np.zeros_like(u)
-    dy = np.zeros_like(u)
-    dx[:, :-1] = u[:, 1:] - u[:, :-1]
-    dy[:-1, :] = u[1:, :] - u[:-1, :]
-    return float(np.sqrt(dx * dx + dy * dy).sum())
+    return (v + div_reference((px, py))) / c
 
 
 def tv_prox_objective(u, v, c):
-    return tv_value(u) + 0.5 * c * float(np.vdot(u, u)) - float(np.vdot(v, u))
+    return (tv_reference(u) + 0.5 * c * float(np.vdot(u, u))
+            - float(np.vdot(v, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,31 +125,33 @@ def tv_prox_objective(u, v, c):
 # ---------------------------------------------------------------------------
 
 def grad_reference(u):
-    """Forward differences on zero-filled fresh arrays."""
+    """Forward differences along the last two axes on zero-filled fresh
+    arrays, so a ``(K, m, n)`` stack takes each raster's own."""
     u = np.asarray(u, dtype=float)
     px = np.zeros_like(u)
     py = np.zeros_like(u)
-    px[:, :-1] = u[:, 1:] - u[:, :-1]
-    py[:-1, :] = u[1:, :] - u[:-1, :]
+    px[..., :-1] = u[..., 1:] - u[..., :-1]
+    py[..., :-1, :] = u[..., 1:, :] - u[..., :-1, :]
     return px, py
 
 
 def div_reference(p):
-    """Backward differences summed into a zero-filled fresh array."""
+    """Backward differences along the last two axes summed into a
+    zero-filled fresh array."""
     px, py = p
     out = np.zeros_like(np.asarray(px, dtype=float))
-    out[:, :-1] += px[:, :-1]
-    out[:, 1:] -= px[:, :-1]
-    out[:-1, :] += py[:-1, :]
-    out[1:, :] -= py[:-1, :]
+    out[..., :-1] += px[..., :-1]
+    out[..., 1:] -= px[..., :-1]
+    out[..., :-1, :] += py[..., :-1, :]
+    out[..., 1:, :] -= py[..., :-1, :]
     return out
 
 
-def tv_prox_reference(v, c, cfg, u0=None):
+def tv_prox_reference(v, c, cfg, u0):
     """The TV primal-dual loop written with plain expressions, every step
     allocating its result; tv_prox must match it bit for bit."""
     v = np.asarray(v, dtype=float)
-    u = v / c if u0 is None else np.array(u0, dtype=float, copy=True)
+    u = np.array(u0, dtype=float, copy=True)
     ubar = u.copy()
     u_hat_prev = u
     px = np.zeros_like(v)

@@ -258,11 +258,11 @@ def test_criterion_7_operator_oracle_suite():
     # (6000 oracle iterations sit ~1e-7 from its fully converged answer,
     # three orders below the 1e-4 comparison threshold)
     cfg = PdConfig(max_inner_iter=4000, tol_inner=1e-12)
+    vs = np.array([rng.normal(size=(4, 4)) for _ in range(20)])
+    refs = oracles.tv_prox_dual_fista(vs, c=1.0, n_iter=6000)
     worst = 0.0
-    for _ in range(20):
-        v = rng.normal(size=(4, 4))
-        res = tv_prox(v, c=1.0, cfg=cfg)
-        ref = oracles.tv_prox_dual_fista(v, c=1.0, n_iter=6000)
+    for v, ref in zip(vs, refs):
+        res = tv_prox(v, 1.0, cfg, v / 1.0)
         worst = max(worst, float(np.max(np.abs(res.u - ref))))
     assert worst <= 1e-4
 

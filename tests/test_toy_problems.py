@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import dcboost
 import oracles
-from dcboost import (QuadL1Problem, ScadSeparableProblem, Variant,
-                     basin_experiment, solve, write_basin_csv)
+from dcboost import (QuadL1Problem, ScadSeparableProblem, Status, Variant,
+                     basin_experiment, solve, solve_lanes, write_basin_csv)
 from dcboost import toy_problems
-from dcboost.dc_core import solve_lanes
 from dcboost.toy_problems import (ATTRACTOR_LABELS, ATTRACTORS, BASIN_BLOCK,
                                   CLASSIFY_RADIUS, LABELS, OTHER_LABEL,
                                   classify_lanes, default_basin_config)
@@ -277,6 +276,44 @@ def test_scad_critical_points():
 def test_rho_exposed():
     assert QuadL1Problem().rho == 1.0
     assert ScadSeparableProblem().rho == 0.4
+
+
+# ---------------------------------------------------------------------------
+# convergence: the rate on QuadL1, finite termination on SCAD
+# ---------------------------------------------------------------------------
+
+def test_quadl1_tail_converges_r_linearly_and_ibdca_needs_no_more_steps():
+    # QuadL1 is piecewise quadratic, so it has KL exponent 1/2 and every
+    # variant converges R-linearly (Attouch, Bolte & Svaiter 2013).  Near
+    # the minimizer (3/2, 0) the DCA map halves u - 3/2, so the tail ratios
+    # ||d_{k+1}|| / ||d_k|| are 1/2; the excess seen (up to 1.5e-6 relative)
+    # is rounding, as ||d|| nears 1e-10 against coordinates of size 1.5
+    for x0 in ((0.5, 1.0), (0.5, 0.0), (-1.0, 2.0), (3.0, -2.0),
+               (0.2, 0.05)):
+        iterations = {}
+        for variant in Variant:
+            result = solve(QuadL1Problem(), np.array(x0),
+                           default_basin_config(variant))
+            case = (x0, variant.value)
+            assert result.status is Status.CRITICAL_POINT, case
+            d = np.array([record.d_norm for record in result.trace])
+            assert np.all(d[-5:] <= 0.5 * (1.0 + 1e-5) * d[-6:-1]), case
+            iterations[variant] = len(result.trace)
+        # a tie, not a boost, from (0.5, 1) and (0.5, 0): 34 each
+        assert iterations[Variant.IBDCA] <= iterations[Variant.DCA], x0
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_scad_lanes_all_stop_at_critical_points_within_50_steps(variant):
+    # finite termination: every lane ends with a critical-point stop, far
+    # below max_outer_iter (500); the worst lanes take 12 / 8 / 23 / 9
+    # outer iterations (dca / bdca / nmbdca / ibdca)
+    rng = np.random.Generator(np.random.Philox(key=11))
+    starts = 3.0 * rng.random((2048, 2))
+    cfg = default_basin_config(variant)
+    result = solve_lanes(ScadSeparableProblem(), starts, cfg)
+    assert set(result.status) == {Status.CRITICAL_POINT}
+    assert result.outer_iterations.max() <= 50 < cfg.max_outer_iter
 
 
 # ---------------------------------------------------------------------------

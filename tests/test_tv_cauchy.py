@@ -244,14 +244,16 @@ def test_second_derivative_threshold():
 # ---------------------------------------------------------------------------
 
 def test_tv_prox_zero_input():
-    res = tv_prox(np.zeros((4, 4)), c=1.0)
+    v = np.zeros((4, 4))
+    res = tv_prox(v, 1.0, PdConfig(), v / 1.0)
     assert np.all(res.u == 0.0)
     assert res.converged
 
 
 def test_tv_prox_constant_fixed_point():
     k = 4.25
-    res = tv_prox(np.full((5, 5), 2.0 * k), c=2.0)
+    v = np.full((5, 5), 2.0 * k)
+    res = tv_prox(v, 2.0, PdConfig(), v / 2.0)
     assert np.allclose(res.u, k, atol=1e-10, rtol=0)
     assert res.converged
 
@@ -259,10 +261,10 @@ def test_tv_prox_constant_fixed_point():
 def test_tv_prox_matches_dual_oracle_small_instances():
     rng = np.random.default_rng(41)
     cfg = PdConfig(max_inner_iter=20000, tol_inner=1e-11)
-    for _ in range(5):
-        v = rng.normal(size=(4, 4))
-        res = tv_prox(v, c=1.0, cfg=cfg)
-        ref = oracles.tv_prox_dual_fista(v, c=1.0, n_iter=20000)
+    vs = np.array([rng.normal(size=(4, 4)) for _ in range(5)])
+    refs = oracles.tv_prox_dual_fista(vs, c=1.0, n_iter=20000)
+    for v, ref in zip(vs, refs):
+        res = tv_prox(v, 1.0, cfg, v / 1.0)
         assert np.max(np.abs(res.u - ref)) <= 1e-4
         gap = abs(oracles.tv_prox_objective(res.u, v, 1.0)
                   - oracles.tv_prox_objective(ref, v, 1.0))
@@ -280,14 +282,15 @@ def test_tv_prox_bitwise_matches_allocating_reference():
                       rng.normal(size=shape)))
     default, cut = PdConfig(), PdConfig(max_inner_iter=7)
     long_run = PdConfig(max_inner_iter=5000, tol_inner=1e-9)
+    # each case from its own start and from v / c
     runs = [(v, c, u0, cfg) for v, c, start in cases
-            for u0 in (start, None) for cfg in (default, cut)]
+            for u0 in (start, v / c) for cfg in (default, cut)]
     v, c, start = cases[1]  # 2x2: over a thousand iterations in ~0.1 s
-    runs += [(v, c, start, long_run), (v, c, None, long_run)]
+    runs += [(v, c, start, long_run), (v, c, v / c, long_run)]
     for v, c, u0, cfg in runs:
-        got = tv_prox(v, c, cfg, u0=u0)
-        want = oracles.tv_prox_reference(v, c, cfg, u0=u0)
-        case = (v.shape, u0 is None, cfg)
+        got = tv_prox(v, c, cfg, u0)
+        want = oracles.tv_prox_reference(v, c, cfg, u0)
+        case = (v.shape, u0 is start, cfg)
         assert np.array_equal(_bits(got.u), _bits(want.u)), case
         assert got.iters == want.iters, case
         assert _bits(got.resid) == _bits(want.resid), case
@@ -312,18 +315,16 @@ def test_tv_prox_and_operators_bitwise_equal_whatever_the_layout():
         strided[::2, 1::3] = v
         for cfg in (PdConfig(), cut):
             runs += [(v, start, cfg), (v, np.asfortranarray(start), cfg),
-                     (np.asfortranarray(v), None, cfg),
+                     (np.asfortranarray(v), v / 0.7, cfg),
                      (np.asfortranarray(v), start, cfg),
-                     (strided[::2, 1::3], None, cfg)]
+                     (strided[::2, 1::3], v / 0.7, cfg)]
     for v, u0, cfg in runs:
-        got = tv_prox(v, 0.7, cfg, u0=u0)
+        got = tv_prox(v, 0.7, cfg, u0)
         # the reference on C-ordered copies: np.linalg.norm sums in memory
         # order, so its resid follows the layout
-        want = oracles.tv_prox_reference(
-            np.ascontiguousarray(v), 0.7, cfg,
-            u0=None if u0 is None else np.ascontiguousarray(u0))
-        case = (v.shape, v.flags.c_contiguous,
-                u0 is None or u0.flags.c_contiguous, cfg)
+        want = oracles.tv_prox_reference(np.ascontiguousarray(v), 0.7, cfg,
+                                         np.ascontiguousarray(u0))
+        case = (v.shape, v.flags.c_contiguous, u0.flags.c_contiguous, cfg)
         assert np.array_equal(_bits(got.u), _bits(want.u)), case
         assert got.iters == want.iters, case
         assert _bits(got.resid) == _bits(want.resid), case
@@ -348,7 +349,8 @@ def test_tv_prox_and_operators_bitwise_equal_whatever_the_layout():
 def test_tv_prox_nonconvergence_flag():
     rng = np.random.default_rng(43)
     v = rng.normal(size=(8, 8)) * 10.0
-    res = tv_prox(v, c=0.5, cfg=PdConfig(max_inner_iter=2, tol_inner=1e-14))
+    res = tv_prox(v, 0.5, PdConfig(max_inner_iter=2, tol_inner=1e-14),
+                  v / 0.5)
     assert not res.converged
     assert res.iters == 2
 
@@ -359,7 +361,7 @@ def test_tv_prox_rejects_u0_of_another_shape():
     v = np.zeros((3, 4))
     for shape in ((4, 3), (2, 6)):
         with pytest.raises(ValueError) as excinfo:
-            tv_prox(v, 1.0, u0=np.zeros(shape))
+            tv_prox(v, 1.0, PdConfig(), np.zeros(shape))
         assert str(shape) in str(excinfo.value)
         assert str(v.shape) in str(excinfo.value)
 
@@ -368,7 +370,7 @@ def test_tv_prox_rejects_u0_of_another_shape():
 @pytest.mark.parametrize("call, arg", [
     (grad, "u"),
     (lambda a: div((a, a)), "px, py in p"),
-    (lambda a: tv_prox(a, 1.0), "v"),
+    (lambda a: tv_prox(a, 1.0, PdConfig(), a / 1.0), "v"),
 ], ids=["grad", "div", "tv_prox"])
 def test_operators_reject_rasters_that_are_not_2d(call, arg, shape):
     # the error names the argument and the expected shape, not the unpacking
@@ -392,7 +394,8 @@ def test_div_rejects_px_py_of_different_shapes():
 
 def test_tv_prox_rejects_nonpositive_c():
     with pytest.raises(ValueError):
-        tv_prox(np.zeros((4, 4)), c=0.0)
+        # a zero start, as v / c would divide by the zero c
+        tv_prox(np.zeros((4, 4)), 0.0, PdConfig(), np.zeros((4, 4)))
 
 
 def test_pd_config_validation():
