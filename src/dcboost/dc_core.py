@@ -60,11 +60,16 @@ class Variant(str, Enum):
     NMBDCA = "nmbdca"
     IBDCA = "ibdca"
 
+    # print as the value: numpy compares an object array with a member
+    # through str(member), so ``lanes.status == Status.X`` needs it
+    __str__ = str.__str__
+
 
 class Status(str, Enum):
     CRITICAL_POINT = "critical_point"
     REL_ENERGY_CONVERGED = "rel_energy_converged"
     MAX_ITERATIONS = "max_iterations"
+    __str__ = str.__str__  # as in Variant
 
 
 class SubproblemError(RuntimeError):
@@ -83,23 +88,14 @@ class SubproblemError(RuntimeError):
 class DcModel(ABC):
     """A difference-of-convex program phi = g - h with h smooth.
 
-    The outer loop needs only two things from a model: the objective
-    :meth:`phi` and :meth:`solve_subproblem_with_info`, which returns the
-    unique minimizer y of the linearized subproblem
-    ``min g(.) - <grad_h(x), .>`` with a dict of solver diagnostics (they
-    land in the records' ``aux``).  ``rho`` is a strong-convexity modulus
-    valid for both g and h; it drives the per-step decrease bound
-    ``phi(y) <= phi(x) - rho * ||y - x||^2`` that the line searches rely
-    on.  ``shape`` is the shape of one point (``(2,)`` for a 2-vector, the
-    raster's shape for an image).  How g, h and grad_h are evaluated stays
-    inside the model.
-
-    The outer loop advances a stack of points together, one lane per point,
-    shape ``(B, *point_shape)``, and reaches the model only through
-    :meth:`phi_lanes` and :meth:`subproblem_lanes`, whose defaults loop
-    over the lanes with the per-point methods; a model with closed forms
-    may override them with vectorized versions that give every lane
-    bitwise the per-point result.
+    The outer loop advances a stack of points, one lane per point, shape
+    ``(B, *point_shape)``, and needs of a model only :meth:`phi_lanes`,
+    :meth:`subproblem_lanes`, ``shape`` (of one point: ``(2,)`` for a
+    2-vector, the raster's shape for an image) and ``rho``, a modulus of
+    strong convexity of both g and h: the line searches rely on the
+    decrease bound ``phi(y) <= phi(x) - rho * ||y - x||^2``.  How g, h and
+    grad_h are evaluated stays inside the model.  :meth:`phi` and
+    :meth:`solve_subproblem_with_info` are one-lane calls of the two.
 
     Evaluators must be pure: many solves may run concurrently against one
     shared model instance.
@@ -109,28 +105,21 @@ class DcModel(ABC):
     rho: float
 
     @abstractmethod
-    def phi(self, x):
-        """Objective value g(x) - h(x), extended real."""
+    def phi_lanes(self, X):
+        """phi = g - h, extended real, of every lane of X, shape ``(B,)``."""
 
     @abstractmethod
-    def solve_subproblem_with_info(self, x):
-        """``(y, info)``: the unique minimizer y of g(.) - <grad_h(x), .>
-        and a dict of solver diagnostics, empty when there are none."""
-
-    def phi_lanes(self, X):
-        """phi of every lane of X, shape ``(B,)``."""
-        return np.array([self.phi(x) for x in X], dtype=float)
-
     def subproblem_lanes(self, X):
-        """Subproblem solutions of every lane as a new array shaped like X,
-        plus a list with one diagnostics dict per lane."""
-        pairs = [self.solve_subproblem_with_info(x) for x in X]
-        if len(pairs) == 1:
-            # one lane keeps the solver's own array: an extra copy of a large
-            # raster per iteration costs page faults, not just the copy
-            return np.asarray(pairs[0][0], dtype=float)[None], [pairs[0][1]]
-        return (np.array([y for y, _ in pairs], dtype=float),
-                [info for _, info in pairs])
+        """``(Y, infos)``: the minimizer of g(.) - <grad_h(x), .> of every
+        lane x of X as a new array shaped like X, and one dict of solver
+        diagnostics per lane for the records' ``aux``, empty if none."""
+
+    def phi(self, x):
+        return float(self.phi_lanes(np.asarray(x, dtype=float)[None])[0])
+
+    def solve_subproblem_with_info(self, x):
+        Y, infos = self.subproblem_lanes(np.asarray(x, dtype=float)[None])
+        return Y[0], infos[0]
 
 
 @dataclass

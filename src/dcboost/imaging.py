@@ -131,6 +131,8 @@ def read_pgm(path):
         raise PgmError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
         raise PgmError(f"{path}: unsupported maxval {maxval} (8-bit only)")
+    if data[offset - 1:offset] == b"#":
+        raise PgmError(f"{path}: comment right after the maxval")
     payload = data[offset:offset + width * height]
     if len(payload) < width * height:
         raise PgmError(f"{path}: truncated pixel data "

@@ -10,7 +10,6 @@ standard way to compare how well the solver variants escape the poor ones.
 
 from __future__ import annotations
 
-import math
 import numbers
 import time
 from dataclasses import dataclass
@@ -52,17 +51,21 @@ class QuadL1Problem(DcModel):
     shape = (2,)
     rho = 1.0
 
-    def phi(self, x):
-        u, v = float(x[0]), float(x[1])
-        return -2.5 * u + 0.5 * (u * u + v * v) + abs(u) + abs(v)
+    def phi_lanes(self, X):
+        U, V = X[:, 0], X[:, 1]
+        # overflow near the float limit is caught by the finiteness checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -2.5 * U + 0.5 * (U * U + V * V) + np.abs(U) + np.abs(V)
 
-    def solve_subproblem_with_info(self, x):
+    def subproblem_lanes(self, X):
         # grad_h(x) = x, so the subproblem separates into two scalar soft
         # thresholds s(t) = sign(t) * max(|t| - 1, 0) / 2, the argmin of
-        # s^2 + |s| - t*s: first coordinate s(5/2 + u), second s(v)
-        u, v = float(x[0]), float(x[1])
-        return np.array([math.copysign(max(abs(t) - 1.0, 0.0) * 0.5, t)
-                         for t in (2.5 + u, v)]), {}
+        # s^2 + |s| - t*s: first coordinate s(5/2 + u), second s(v).  Only
+        # u is shifted: v + 0 would turn a -0.0 in v into +0.0.
+        T = np.array(X, dtype=float)
+        T[:, 0] += 2.5
+        return (np.copysign(np.maximum(np.abs(T) - 1.0, 0.0) * 0.5, T),
+                [{}] * len(X))
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +160,10 @@ class ScadSeparableProblem(DcModel):
     Critical points have each coordinate in {-2, 0, 2}; on the sampling box
     [0,3]^2 the four reachable ones are {0, 2}^2 and only (0, 0) is the
     global minimum.  Both parts carry the u^2/5 quadratic, so rho = 2/5.
-    The closed forms exist once, in lane form: the per-point methods are
-    one-lane calls of phi_lanes and subproblem_lanes.
     """
 
     shape = (2,)
     rho = 0.4
-
-    def phi(self, x):
-        return float(self.phi_lanes(np.asarray(x, dtype=float)[None])[0])
-
-    def solve_subproblem_with_info(self, x):
-        Y, infos = self.subproblem_lanes(np.asarray(x, dtype=float)[None])
-        return Y[0], infos[0]
 
     # The lane forms evaluate every branch on every entry and keep one, so
     # entries near the float limit overflow, or meet inf - inf, in branches

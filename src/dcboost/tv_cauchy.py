@@ -355,3 +355,17 @@ class CauchyModel(DcModel):
             "inner_converged": 1.0 if result.converged else 0.0,
         }
         return result.u, info
+
+    # Lane loops over the per-raster methods, whose calls the benchmark's
+    # tracer counts as phi evaluations and outer iterations
+    def phi_lanes(self, X):
+        return np.array([self.phi(u) for u in X], dtype=float)
+
+    def subproblem_lanes(self, X):
+        pairs = [self.solve_subproblem_with_info(u) for u in X]
+        if len(pairs) == 1:
+            # one lane keeps the solver's own array: an extra copy of a large
+            # raster per iteration costs page faults, not just the copy
+            return np.asarray(pairs[0][0], dtype=float)[None], [pairs[0][1]]
+        return (np.array([y for y, _ in pairs], dtype=float),
+                [info for _, info in pairs])

@@ -115,6 +115,22 @@ def test_bad_flag_values_exit_2_with_one_line(argv, tmp_path, capsys):
     assert not list(tmp_path.glob("*_trace.csv"))  # no header-only trace
 
 
+def test_denoise_input_with_comment_at_raster_exits_2_with_one_line(
+        tmp_path, capsys):
+    # a "#" right after the maxval would read the comment as pixel bytes
+    pgm = tmp_path / "comment.pgm"
+    pgm.write_bytes(b"P5\n2 2\n255#c\n" + bytes([9, 8, 7, 6]))
+    code = main(["denoise", "--input", str(pgm), "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("dcboost denoise: ")
+    assert "comment right after the maxval" in lines[0]
+    assert not list(tmp_path.glob("*_trace.csv"))
+
+
 @pytest.mark.parametrize("gamma", ["1e200", "1e-200"])
 def test_out_of_range_gamma_is_named(gamma, tmp_path, capsys):
     assert main(["denoise", "--synthetic", "--size", "16x16",
@@ -148,8 +164,13 @@ def test_unwritable_out_dir_exits_2_with_one_line(argv, below, tmp_path,
 ])
 def test_subproblem_failure_exits_1_with_one_line(argv, model, tmp_path,
                                                   capsys, monkeypatch):
-    monkeypatch.setattr(model, "solve_subproblem_with_info",
-                        lambda self, x: (np.full_like(x, math.nan), {}))
+    if model is CauchyModel:  # its lane form loops over this method
+        monkeypatch.setattr(model, "solve_subproblem_with_info",
+                            lambda self, x: (np.full_like(x, math.nan), {}))
+    else:
+        monkeypatch.setattr(model, "subproblem_lanes",
+                            lambda self, X: (np.full_like(X, math.nan),
+                                             [{}] * len(X)))
     code = main(argv + ["--out-dir", str(tmp_path)])
     lines = capsys.readouterr().err.splitlines()
     assert code == 1

@@ -28,16 +28,16 @@ class QuadraticModel(DcModel):
     shape = (2,)
     rho = 1.0
 
-    def phi(self, x):
-        return float(np.vdot(x, x))
+    def phi_lanes(self, X):
+        return np.array([float(np.vdot(x, x)) for x in X])
 
-    def solve_subproblem_with_info(self, x):
-        return np.asarray(x, dtype=float) / 3.0, {}
+    def subproblem_lanes(self, X):
+        return np.asarray(X, dtype=float) / 3.0, [{}] * len(X)
 
 
 class BrokenModel(QuadraticModel):
-    def solve_subproblem_with_info(self, x):
-        return np.array([math.nan, math.nan]), {}
+    def subproblem_lanes(self, X):
+        return np.full(np.shape(X), math.nan), [{}] * len(X)
 
 
 def linearized_step(model, x):
@@ -57,8 +57,7 @@ def ibdca_cfg(**kw):
 # ---------------------------------------------------------------------------
 
 def test_model_contract_is_phi_and_subproblem():
-    assert DcModel.__abstractmethods__ == {"phi",
-                                           "solve_subproblem_with_info"}
+    assert DcModel.__abstractmethods__ == {"phi_lanes", "subproblem_lanes"}
 
 
 def test_dca_step_first_worked_iterate():
@@ -247,11 +246,12 @@ def test_nmbdca_allowance_schedule(k, dsq, expected):
         shape = (1,)
         rho = 1.0
 
-        def solve_subproblem_with_info(self, x):
-            return np.asarray(x, dtype=float), {}
+        def subproblem_lanes(self, X):
+            return np.array(X, dtype=float), [{}] * len(X)
 
-        def phi(self, x):
-            return 0.0 if float(x[0]) == 0.0 else self.bump
+        def phi_lanes(self, X):
+            return np.array([0.0 if float(x[0]) == 0.0 else self.bump
+                             for x in X])
 
     model = Bump()
     y = np.array([0.0])
@@ -483,11 +483,11 @@ def test_solve_attaches_partial_trace_on_subproblem_failure():
     class BreaksAtThird(QuadraticModel):
         calls = 0
 
-        def solve_subproblem_with_info(self, x):
+        def subproblem_lanes(self, X):
             BreaksAtThird.calls += 1
             if BreaksAtThird.calls >= 3:
-                return np.array([math.nan, math.nan]), {}
-            return np.asarray(x, dtype=float) / 3.0, {}
+                return np.full(np.shape(X), math.nan), [{}] * len(X)
+            return np.asarray(X, dtype=float) / 3.0, [{}] * len(X)
 
     kept = []
     with pytest.raises(SubproblemError, match="non-finite"):
@@ -503,8 +503,8 @@ def test_solve_raises_when_a_step_accepts_a_non_finite_value(variant):
     # phi is NaN below v = 1.5, where every variant's first step from (1, 2)
     # lands; the loop must not run on to a critical point with phi NaN
     class NanBelow(QuadL1Problem):
-        def phi(self, x):
-            return math.nan if x[1] < 1.5 else super().phi(x)
+        def phi_lanes(self, X):
+            return np.where(X[:, 1] < 1.5, math.nan, super().phi_lanes(X))
 
     kept = []
     with pytest.raises(SubproblemError, match="non-finite objective") as err:
@@ -536,8 +536,8 @@ def test_solve_lanes_rejects_a_start_without_a_lane_axis():
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_solve_lanes_default_methods_match_single_solves(variant):
-    # QuadL1Problem has no lane methods of its own: the per-point defaults
-    # carry every lane, with the traces streamed per lane
+    # QuadL1Problem's closed lane forms carry every lane, with the traces
+    # streamed per lane
     model = QuadL1Problem()
     cfg = SolverConfig(variant=variant, alpha=0.2, beta=0.5, lambda_bar=2.0)
     starts = np.random.default_rng(41).uniform(-3.0, 3.0, size=(40, 2))
@@ -562,8 +562,9 @@ def test_solve_lanes_keeps_each_lanes_info_when_a_lane_retires(variant):
     # start at the critical point 0 and retire at once, and no tag of theirs
     # may pass to the lanes that go on
     class Tagged(QuadraticModel):
-        def solve_subproblem_with_info(self, x):
-            return np.asarray(x, dtype=float) / 3.0, {"u": float(x[0])}
+        def subproblem_lanes(self, X):
+            return (np.asarray(X, dtype=float) / 3.0,
+                    [{"u": float(x[0])} for x in X])
 
     starts = np.array([(3.0, 1.0), (0.0, 0.0), (6.0, 2.0), (0.0, 0.0),
                        (-9.0, 4.0)])
@@ -579,6 +580,22 @@ def test_solve_lanes_keeps_each_lanes_info_when_a_lane_retires(variant):
     assert sorted(seen) == sorted([(1, 0), (3, 0)]
                                   + [(i, k) for i in (0, 2, 4)
                                      for k in range(4)])
+
+
+def test_lane_status_compares_to_a_member_lane_by_lane():
+    # numpy compares an object array with a str member through str(member)
+    # cut to the value's length, so each enum must print as its value: else
+    # the mask reads 'Status.CRITICA' and is all False
+    starts = np.array([(0.0, 0.0), (2.2, 0.4), (0.0, 0.0), (2.9, 1.1)])
+    lanes = solve_lanes(ScadSeparableProblem(), starts,
+                        SolverConfig(max_outer_iter=1))
+    stopped = [status is Status.CRITICAL_POINT for status in lanes.status]
+    assert stopped == [True, False, True, False]
+    assert list(lanes.status == Status.CRITICAL_POINT) == stopped
+    assert list(lanes.status == Status.MAX_ITERATIONS) == [
+        not s for s in stopped]
+    for member in (*Status, *Variant):
+        assert f"{member}" == str(member) == member.value
 
 
 def test_solve_rejects_wrong_dimension():
@@ -810,11 +827,11 @@ def test_on_record_receives_partial_trace_before_failure():
     class BreaksAtThird(QuadraticModel):
         calls = 0
 
-        def solve_subproblem_with_info(self, x):
+        def subproblem_lanes(self, X):
             BreaksAtThird.calls += 1
             if BreaksAtThird.calls >= 3:
-                return np.array([math.nan, math.nan]), {}
-            return np.asarray(x, dtype=float) / 3.0, {}
+                return np.full(np.shape(X), math.nan), [{}] * len(X)
+            return np.asarray(X, dtype=float) / 3.0, [{}] * len(X)
 
     seen = []
     with pytest.raises(SubproblemError):

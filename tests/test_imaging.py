@@ -118,6 +118,8 @@ def test_re_err_basics():
     assert abs(re_err(np.zeros_like(u), u) - 1.0) <= 1e-15
     with pytest.raises(ValueError):
         re_err(u, np.zeros_like(u))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        re_err(u, u[:, :-1])
 
 
 def test_psnr_re_err_consistency():
@@ -175,6 +177,20 @@ def test_pgm_rejects_truncated_payload(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("data, match", [
+    (b"P5\n2 2\n", "truncated PGM header"),
+    (b"P5\n2 two\n255\n" + bytes(4), "non-numeric"),
+    (b"P5\n0 2\n255\n", "bad dimensions 0x2"),
+    # the "#" ends the maxval token; the pixel bytes would start inside it
+    (b"P5\n2 1\n255#c\n" + bytes([9, 8]), "comment right after the maxval"),
+], ids=["truncated-header", "non-numeric", "zero-width", "comment-at-raster"])
+def test_pgm_rejects_malformed_header(data, match, tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmError, match=match):
+        read_pgm(path)
+
+
 def test_pgm_rejects_ascii_variant(tmp_path):
     path = tmp_path / "ascii.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 1 2 3\n")
@@ -195,6 +211,14 @@ def test_pgm_write_rejects_nan_and_clamps_infinities(tmp_path):
     assert not path.exists()
     write_pgm(path, [[-math.inf, 1.0], [2.0, math.inf]])
     assert np.array_equal(read_pgm(path), [[0.0, 1.0], [2.0, 255.0]])
+
+
+@pytest.mark.parametrize("image", [[1.0, 2.0], [[[1.0]]]], ids=["1d", "3d"])
+def test_pgm_write_rejects_an_image_that_is_not_2d(image, tmp_path):
+    path = tmp_path / "flat.pgm"
+    with pytest.raises(ValueError, match="2-D"):
+        write_pgm(path, image)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

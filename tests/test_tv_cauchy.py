@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from dcboost import (CauchyModel, NoiseSpec, PdConfig, SolverConfig, Variant,
-                     add_cauchy_noise, div, energy, grad, grad_h_cauchy,
-                     make_squares_image, quantize_u8, solve, tv, tv_prox)
+from dcboost import (CauchyModel, NoiseSpec, PdConfig, SolverConfig,
+                     SubproblemError, Variant, add_cauchy_noise, div, energy,
+                     grad, grad_h_cauchy, make_squares_image, quantize_u8,
+                     solve, tv, tv_prox)
 from dcboost.cli import DEFAULT_C, DEFAULT_MU, _denoise_defaults
 from dcboost.dc_core import solve_lanes
 from dcboost.tv_cauchy import GRAD_NORM_SQ_BOUND, PD_STEP0
@@ -492,6 +493,17 @@ def test_model_subproblem_residual_below_tolerance():
     # purity: same input, bitwise-same output
     y2, _ = model.solve_subproblem_with_info(f)
     assert np.array_equal(y, y2)
+
+
+def test_model_subproblem_rejects_a_non_finite_inner_iterate():
+    # at entries of 1e308, c*u overflows in grad_h, and the inner loop
+    # turns the infinite pull into NaN
+    f = np.random.default_rng(53).uniform(0.0, 255.0, size=(8, 8))
+    model = CauchyModel(f, mu=15.0, gamma=3.0, c=1.83)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SubproblemError, match="non-finite iterate") as err:
+        model.solve_subproblem_with_info(np.full(f.shape, 1e308))
+    assert math.isnan(err.value.residual)
 
 
 def test_outer_energy_monotone_on_small_denoise():
