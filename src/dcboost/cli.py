@@ -68,6 +68,14 @@ def main(argv=None):
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr, as
+    every other rejected input is; ``--help`` gives the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
     # the flags toy, basin and denoise share; the solver flags default to
     # None, and each command overlays the ones given onto its own defaults
@@ -88,7 +96,7 @@ def build_parser():
     shared.add_argument("--max-backtracks", type=int)
     shared.add_argument("--out-dir", default=".")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcboost",
         description="Difference-of-convex solvers with boosted line searches.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,7 +105,8 @@ def build_parser():
                          help="run one solver on an analytic 2-D problem")
     toy.add_argument("--example", choices=("quadl1", "scad"), required=True)
     toy.add_argument("--x0", type=point, required=True, metavar="U,V",
-                     help="starting point, e.g. 0.5,1")
+                     help="starting point, e.g. 0.5,1; a negative first "
+                          "coordinate needs the = form, --x0=-3,-0")
     toy.set_defaults(func=cmd_toy)
 
     basin = sub.add_parser("basin", parents=[shared],

@@ -219,7 +219,8 @@ def scad_g_tilde(u):
     a = abs(u)
     if a < 2.0:
         return a + u * u / 5.0
-    return a + (a - 2.0) ** 2 + u * u / 5.0
+    # a product, not ** 2, which raises OverflowError for |u| above ~1e154
+    return a + (a - 2.0) * (a - 2.0) + u * u / 5.0
 
 
 def scad_h_tilde(u):
@@ -261,23 +262,30 @@ def scad_subproblem_1d(w):
 
     Candidates are the stationary point of each smooth branch (kept when it
     falls inside its interval) plus the breakpoints {-2, 0, 2}; strong
-    convexity makes the best candidate the global minimizer.
+    convexity makes the best candidate the global minimizer.  A stationary
+    point inside its interval is that minimizer outright, so where its
+    value is inf - inf (|w| above ~3e154), which no comparison can rank,
+    it is returned.
     """
     w = float(w)
-    candidates = [-2.0, 0.0, 2.0]
+    stationary = []
     t = 2.5 * (w - 1.0)            # branch (0, 2):    1 + 2t/5 = w
     if 0.0 < t < 2.0:
-        candidates.append(t)
+        stationary.append(t)
     t = 5.0 * (w + 3.0) / 12.0     # branch [2, inf):  1 + 2(t-2) + 2t/5 = w
     if t >= 2.0:
-        candidates.append(t)
+        stationary.append(t)
     t = 2.5 * (w + 1.0)            # branch (-2, 0):  -1 + 2t/5 = w
     if -2.0 < t < 0.0:
-        candidates.append(t)
+        stationary.append(t)
     t = 5.0 * (w - 3.0) / 12.0     # branch (-inf,-2]: -1 + 2(t+2) + 2t/5 = w
     if t <= -2.0:
-        candidates.append(t)
-    return min(candidates, key=lambda s: scad_g_tilde(s) - w * s)
+        stationary.append(t)
+    for t in stationary:
+        if math.isnan(scad_g_tilde(t) - w * t):
+            return t
+    return min([-2.0, 0.0, 2.0] + stationary,
+               key=lambda s: scad_g_tilde(s) - w * s)
 
 
 def classify_point(point):

@@ -77,6 +77,22 @@ def test_toy_invalid_flags_exit_2():
     assert excinfo.value.code == 2
 
 
+def test_toy_negative_first_coordinate_needs_the_equals_form(tmp_path,
+                                                            capsys):
+    # argparse reads "-3,-0" after a space as an option, not as the value
+    code, out = run(capsys, "toy", "--example", "quadl1", "--x0=-3,-0",
+                    "--out-dir", str(tmp_path))
+    assert code == 0 and out.startswith("final_point=")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["toy", "--example", "quadl1", "--x0", "-3,-0",
+              "--out-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "dcboost toy: error: argument --x0: expected one argument"]
+
+
 @pytest.mark.parametrize("argv", [
     ["basin", "--n", "10", "--seed", "-1"],
     ["basin", "--n", "10", "--beta", "2"],

@@ -230,11 +230,13 @@ def test_scad_subproblem_for_abs_w_bitwise_matches_oracle():
         got = toy_problems._scad_subproblem_lanes(w)
     ref = np.array([scad_subproblem_1d(x) for x in w])
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    # beyond ~3e154 the oracle's values overflow; the minimizer is the
-    # stationary point of |t| >= 2, whose value there is inf - inf
+    # beyond ~3e154 the minimizer is the stationary point of |t| >= 2,
+    # whose value there is inf - inf
     huge = np.array([3e154, 1e300, np.inf, -3e154, -1e300, -np.inf])
     with np.errstate(over="ignore", invalid="ignore"):
         got = toy_problems._scad_subproblem_lanes(huge)
+    ref = np.array([scad_subproblem_1d(x) for x in huge])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     assert np.array_equal(got, np.copysign(5.0 * (abs(huge) + 3.0) / 12.0,
                                            huge))
     # a NaN pull gives +0; no solve passes one, since a NaN coordinate makes

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from dcboost import (CauchyModel, NoiseSpec, PdConfig, SolverConfig,
                      SubproblemError, Variant, add_cauchy_noise, div, energy,
                      grad, grad_h_cauchy, make_squares_image, quantize_u8,
                      solve, tv, tv_prox)
+from dcboost import tv_cauchy
 from dcboost.cli import DEFAULT_C, DEFAULT_MU, _denoise_defaults
 from dcboost.dc_core import solve_lanes
 from dcboost.tv_cauchy import GRAD_NORM_SQ_BOUND, PD_STEP0
@@ -272,13 +276,48 @@ def test_tv_prox_matches_dual_oracle_small_instances():
         assert gap <= 1e-6
 
 
-def test_tv_prox_bitwise_matches_allocating_reference():
+@pytest.fixture
+def two_bands(monkeypatch):
+    """tv_prox on two row bands in two threads at any raster size (a
+    one-row raster has no second band), whatever the pixel count and the
+    CPUs."""
+    monkeypatch.setattr(tv_cauchy, "_two_bands", lambda m, n: m >= 2)
+
+
+def _assert_tv_prox_matches_reference(runs):
+    """Each run's result, after checking it bitwise against the reference's;
+    the reference runs on C-ordered copies: np.linalg.norm sums in memory
+    order, so its resid follows the layout."""
+    results = []
+    for v, c, u0, cfg in runs:
+        got = tv_prox(v, c, cfg, u0)
+        want = oracles.tv_prox_reference(np.ascontiguousarray(v), c, cfg,
+                                         np.ascontiguousarray(u0))
+        case = (v.shape, v.flags.c_contiguous, u0.flags.c_contiguous, cfg)
+        assert np.array_equal(_bits(got.u), _bits(want.u)), case
+        assert got.iters == want.iters, case
+        assert _bits(got.resid) == _bits(want.resid), case
+        assert got.converged is want.converged, case
+        results.append((got, cfg, case))
+    return results
+
+
+def _assert_reference_runs():
+    for got, cfg, case in _assert_tv_prox_matches_reference(
+            _reference_runs()):
+        if cfg.max_inner_iter == 7:
+            assert got.iters == 7 and not got.converged, case
+        if cfg.max_inner_iter == 5000:
+            assert 1000 < got.iters < 5000 and got.converged, case
+
+
+def _reference_runs():
     rng = np.random.default_rng(47)
     clean = make_squares_image(64, 64)
     f = quantize_u8(add_cauchy_noise(clean, NoiseSpec(gamma=3.0, seed=7)))
     model = CauchyModel(f, mu=15.0, gamma=3.0, c=1.83)
     cases = [(grad_h_cauchy(f, model), model.c, f)]
-    for shape in ((2, 2), (5, 7), (33, 17)):
+    for shape in ((2, 2), (5, 7), (33, 17), (3, 5)):
         cases.append((10.0 * rng.normal(size=shape), 0.7,
                       rng.normal(size=shape)))
     default, cut = PdConfig(), PdConfig(max_inner_iter=7)
@@ -288,25 +327,26 @@ def test_tv_prox_bitwise_matches_allocating_reference():
             for u0 in (start, v / c) for cfg in (default, cut)]
     v, c, start = cases[1]  # 2x2: over a thousand iterations in ~0.1 s
     runs += [(v, c, start, long_run), (v, c, v / c, long_run)]
-    for v, c, u0, cfg in runs:
-        got = tv_prox(v, c, cfg, u0)
-        want = oracles.tv_prox_reference(v, c, cfg, u0)
-        case = (v.shape, u0 is start, cfg)
-        assert np.array_equal(_bits(got.u), _bits(want.u)), case
-        assert got.iters == want.iters, case
-        assert _bits(got.resid) == _bits(want.resid), case
-        assert got.converged is want.converged, case
-        if cfg is cut:
-            assert got.iters == 7 and not got.converged, case
-        if cfg is long_run:
-            assert 1000 < got.iters < 5000 and got.converged, case
+    # at 256x256 tv_prox runs two bands of its own accord on two CPUs
+    big = 10.0 * rng.normal(size=(256, 256))
+    runs.append((big, 0.7, rng.normal(size=big.shape), cut))
+    return runs
 
 
-def test_tv_prox_and_operators_bitwise_equal_whatever_the_layout():
-    # tv_prox and grad/div work on flat views of C-ordered buffers; a
-    # Fortran-ordered or strided input must neither change the bits nor,
-    # through a reshape that copies, lose the writes into a buffer
-    rng = np.random.default_rng(53)
+def test_tv_prox_bitwise_matches_allocating_reference():
+    _assert_reference_runs()
+
+
+def test_tv_prox_in_two_bands_bitwise_matches_allocating_reference(
+        two_bands):
+    # m = 2, 3, 5, 33 and 64: the bands split at m // 2, odd m unevenly
+    _assert_reference_runs()
+
+
+def _layout_runs(rng):
+    # tv_prox works on flat views of C-ordered buffers; a Fortran-ordered
+    # or strided input must neither change the bits nor, through a reshape
+    # that copies, lose the writes into a buffer
     cut = PdConfig(max_inner_iter=7)
     runs = []
     for shape in ((9, 6), (1, 6), (6, 1), (2, 1)):
@@ -315,22 +355,18 @@ def test_tv_prox_and_operators_bitwise_equal_whatever_the_layout():
         strided = np.empty((2 * shape[0], 3 * shape[1]))
         strided[::2, 1::3] = v
         for cfg in (PdConfig(), cut):
-            runs += [(v, start, cfg), (v, np.asfortranarray(start), cfg),
-                     (np.asfortranarray(v), v / 0.7, cfg),
-                     (np.asfortranarray(v), start, cfg),
-                     (strided[::2, 1::3], v / 0.7, cfg)]
-    for v, u0, cfg in runs:
-        got = tv_prox(v, 0.7, cfg, u0)
-        # the reference on C-ordered copies: np.linalg.norm sums in memory
-        # order, so its resid follows the layout
-        want = oracles.tv_prox_reference(np.ascontiguousarray(v), 0.7, cfg,
-                                         np.ascontiguousarray(u0))
-        case = (v.shape, v.flags.c_contiguous, u0.flags.c_contiguous, cfg)
-        assert np.array_equal(_bits(got.u), _bits(want.u)), case
-        assert got.iters == want.iters, case
-        assert _bits(got.resid) == _bits(want.resid), case
-        assert got.converged is want.converged, case
+            runs += [(v, 0.7, start, cfg),
+                     (v, 0.7, np.asfortranarray(start), cfg),
+                     (np.asfortranarray(v), 0.7, v / 0.7, cfg),
+                     (np.asfortranarray(v), 0.7, start, cfg),
+                     (strided[::2, 1::3], 0.7, v / 0.7, cfg)]
+    return runs
 
+
+def test_tv_prox_and_operators_bitwise_equal_whatever_the_layout():
+    rng = np.random.default_rng(53)
+    _assert_tv_prox_matches_reference(_layout_runs(rng))
+    # grad and div likewise
     for shape in ((5, 7), (1, 6), (6, 1), (2, 1)):
         m, n = shape
         u = rng.normal(size=shape)
@@ -345,6 +381,91 @@ def test_tv_prox_and_operators_bitwise_equal_whatever_the_layout():
         fortran_pair = (np.asfortranarray(p[0]), np.asfortranarray(p[1]))
         for layout in (fortran_pair, strided[:2, ::2, 1::3]):
             assert np.array_equal(_bits(div(layout)), want), shape
+
+
+def test_tv_prox_in_two_bands_bitwise_equal_whatever_the_layout(two_bands):
+    _assert_tv_prox_matches_reference(
+        _layout_runs(np.random.default_rng(53)))
+
+
+def test_tv_prox_bands_by_raster_size_and_cpus(monkeypatch):
+    # two bands from 2**16 pixels on two CPUs, through the affinity mask or,
+    # where the platform has none, the CPU count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert tv_cauchy._two_bands(256, 256) and tv_cauchy._two_bands(2, 32768)
+    for m, n in ((255, 256), (128, 128), (1, 1 << 20)):
+        assert not tv_cauchy._two_bands(m, n), (m, n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not tv_cauchy._two_bands(256, 256)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count, want in ((2, True), (1, False), (None, False)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert tv_cauchy._two_bands(256, 256) is want, count
+
+    # and each band runs in its own thread
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    threads = set()
+    div_into = tv_cauchy._div_into
+
+    def spy(*views):
+        threads.add(threading.get_ident())
+        div_into(*views)
+
+    monkeypatch.setattr(tv_cauchy, "_div_into", spy)
+    for size, count in ((256, 2), (128, 1)):
+        threads.clear()
+        v = np.ones((size, size))
+        tv_prox(v, 0.7, PdConfig(max_inner_iter=2), v)
+        assert len(threads) == count, size
+
+
+@pytest.mark.parametrize("band", [0, 1])
+def test_a_failing_band_re_raises_and_leaves_no_thread(band, two_bands,
+                                                       monkeypatch):
+    # band 0 runs in the calling thread, band 1 in the worker; either
+    # failing must release the other from its barrier, and the worker must
+    # be joined before the error reaches the caller
+    caller = threading.current_thread()
+    div_into = tv_cauchy._div_into
+
+    def failing(*views):
+        if (threading.current_thread() is caller) == (band == 0):
+            raise RuntimeError(f"band {band} fails")
+        div_into(*views)
+
+    monkeypatch.setattr(tv_cauchy, "_div_into", failing)
+    before = threading.active_count()
+    v = np.ones((6, 5))
+    with pytest.raises(RuntimeError, match=f"band {band} fails"):
+        tv_prox(v, 0.7, PdConfig(), v)
+    assert threading.active_count() == before
+
+
+def test_concurrent_two_band_calls_equal_sequential_ones(two_bands):
+    # four 256x256 calls at once, each with its own barrier and worker, so
+    # eight threads on however many cores
+    rng = np.random.default_rng(61)
+    cfg = PdConfig(max_inner_iter=30)
+    args = [(10.0 * rng.normal(size=(256, 256)), 0.7, cfg,
+             rng.normal(size=(256, 256))) for _ in range(4)]
+    sequential = [tv_prox(*a) for a in args]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        concurrent_results = list(pool.map(lambda a: tv_prox(*a), args))
+    for got, want in zip(concurrent_results, sequential):
+        assert np.array_equal(_bits(got.u), _bits(want.u))
+        assert (got.iters, _bits(got.resid), got.converged) == (
+            want.iters, _bits(want.resid), want.converged)
+
+
+def test_second_band_runs_under_the_callers_numpy_error_state(two_bands):
+    # the CLI silences overflow around every solve; the worker must too, or
+    # the overflow in the lower rows below warns there (an error here)
+    v = np.zeros((8, 5))
+    v[4:] = 1.5e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = tv_prox(v, 0.7, PdConfig(max_inner_iter=3), v)
+    assert not np.all(np.isfinite(got.u))
 
 
 def test_tv_prox_nonconvergence_flag():
