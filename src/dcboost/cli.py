@@ -7,11 +7,11 @@ Exit codes are decided in :func:`main` alone; the commands let the
 library's exceptions through.  0: success.  1: a numerical failure -- a
 :class:`SubproblemError`, ``toy`` stopping at its iteration cap, or
 ``denoise`` ending on an unconverged inner solve -- or stdout closed by its
-reader.  2: a rejected input -- any ``ValueError``, ``ArithmeticError`` or
-``OSError``, which covers bad flag values, unreadable input files and an
-unwritable ``--out-dir`` (argparse exits 2 on malformed flags itself).  A
-solver failure or a rejected input prints one line, ``dcboost <command>:
-...``, to stderr.
+reader.  2: a rejected input -- any ``ValueError``, ``ArithmeticError``,
+``OSError`` or ``MemoryError``, which covers bad flag values, unreadable
+input files, an unwritable ``--out-dir`` and a raster too large to allocate
+(argparse exits 2 on malformed flags itself).  A solver failure or a
+rejected input prints one line, ``dcboost <command>: ...``, to stderr.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from .dc_core import (SolverConfig, Status, SubproblemError, Variant,
                       first_trial_step, solve)
 from .imaging import (NoiseSpec, add_cauchy_noise, make_squares_image, psnr,
                       quantize_u8, re_err, read_pgm, write_pgm)
-from .toy_problems import (LABELS, QuadL1Problem, ScadSeparableProblem,
-                           basin_experiment, default_basin_config,
-                           write_basin_csv)
+from .toy_problems import (QuadL1Problem, ScadSeparableProblem,
+                           basin_experiment, default_basin_config)
 from .tv_cauchy import CauchyModel, PdConfig
 
 # standard protocol: mu by noise level, and the tuned c for the two
@@ -62,8 +61,9 @@ def main(argv=None):
         print(f"dcboost {args.command}: solver failure: {err} "
               f"(residual {err.residual:g})", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, OSError) as err:
-        # a rejected flag value, an unreadable input, an unwritable out-dir
+    except (ValueError, ArithmeticError, OSError, MemoryError) as err:
+        # a rejected flag value, an unreadable input, an unwritable out-dir,
+        # a raster too large to allocate
         print(f"dcboost {args.command}: {err}", file=sys.stderr)
         return 2
 
@@ -294,23 +294,25 @@ def cmd_toy(args):
 def cmd_basin(args):
     cfg = _solver_config(args, default_basin_config(args.variant))
     report = basin_experiment(args.n, args.seed, cfg.variant, cfg=cfg)
+    summary = (f"n_points={report.n_points} variant={report.variant.value} "
+               f"elapsed_s={report.elapsed:.3f}")
+    totals = " ".join(f"{key}={value}" for key, value in report.totals.items())
 
     out_dir = _ensure_out_dir(args.out_dir)
     csv_path = out_dir / "basin_report.csv"
-    write_basin_csv(report, csv_path)
-    totals = {"outer_iterations": report.outer_iterations,
-              "backtracks": report.backtracks,
-              "linesearch_failures": report.linesearch_failures}
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(f"# seed={report.seed} {summary} {totals}\nattractor,count\n")
+        for label, count in report.counts.items():
+            name = f'"{label}"' if "," in label else label
+            fh.write(f"{name},{count}\n")
     _write_manifest(out_dir, "basin", cfg, ScadSeparableProblem.rho,
                     {"n": args.n, "seed": args.seed}, {"report": csv_path},
-                    totals=totals)
+                    totals=report.totals)
 
-    for label in LABELS:
-        count = report.counts.get(label, 0)
+    for label, count in report.counts.items():
         print(f"{label} count={count} fraction={count / report.n_points:.4f}")
-    print(f"n_points={report.n_points} variant={report.variant.value} "
-          f"elapsed_s={report.elapsed:.3f}")
-    print(" ".join(f"{key}={value}" for key, value in totals.items()))
+    print(summary)
+    print(totals)
     return 0
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "basin_experiment",
     "classify_lanes",
     "default_basin_config",
-    "write_basin_csv",
 ]
 
 
@@ -193,20 +192,16 @@ SAMPLE_LOW, SAMPLE_HIGH = 0.0, 3.0
 
 @dataclass
 class BasinReport:
-    """Attractor counts for one experiment; counts always sum to n_points.
-
-    ``outer_iterations`` (subproblem solves), ``backtracks`` and
-    ``linesearch_failures`` are totals over all starts.
-    """
+    """Attractor counts for one experiment, keyed in ``LABELS`` order; they
+    always sum to n_points.  ``totals`` maps each of ``BASIN_TOTALS`` to its
+    sum over all starts, in that order."""
 
     counts: dict
     n_points: int
     variant: Variant
     elapsed: float
-    seed: int | None = None
-    outer_iterations: int = 0
-    backtracks: int = 0
-    linesearch_failures: int = 0
+    seed: int | None
+    totals: dict
 
 
 def classify_lanes(points):
@@ -238,6 +233,10 @@ def default_basin_config(variant):
 # per exact size.  Peak RSS of that run rose by 0.3 / 1.0 / 1.0 / 1.7 MiB
 # over 256 lanes; 2048 is the widest block within 1.5 MiB.
 BASIN_BLOCK = 2048
+
+# the LaneResult counters a BasinReport totals, in output order;
+# outer_iterations counts subproblem solves
+BASIN_TOTALS = ("outer_iterations", "backtracks", "linesearch_failures")
 
 
 def basin_experiment(n_points, seed, variant, cfg=None, points=None):
@@ -272,32 +271,14 @@ def basin_experiment(n_points, seed, variant, cfg=None, points=None):
         raise ValueError(f"cfg runs {cfg.variant.value}, not {variant.value}")
     model = ScadSeparableProblem()
     counts = np.zeros(len(LABELS), dtype=int)
-    outer = backtracks = failures = 0
+    totals = dict.fromkeys(BASIN_TOTALS, 0)
     t0 = time.perf_counter()
     for block in blocks:
         lanes = solve_lanes(model, block, cfg)
         counts += np.bincount(classify_lanes(lanes.final_points),
                               minlength=len(LABELS))
-        outer += int(lanes.outer_iterations.sum())
-        backtracks += int(lanes.backtracks.sum())
-        failures += int(lanes.linesearch_failures.sum())
+        for name in totals:
+            totals[name] += int(getattr(lanes, name).sum())
     elapsed = time.perf_counter() - t0
     return BasinReport(dict(zip(LABELS, counts.tolist())), n_points,
-                       cfg.variant, elapsed, seed=seed,
-                       outer_iterations=outer, backtracks=backtracks,
-                       linesearch_failures=failures)
-
-
-def write_basin_csv(report, path):
-    """Report as ``attractor,count`` rows under a metadata comment line."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# seed={report.seed} n_points={report.n_points} "
-                 f"variant={report.variant.value} "
-                 f"elapsed_s={report.elapsed:.3f} "
-                 f"outer_iterations={report.outer_iterations} "
-                 f"backtracks={report.backtracks} "
-                 f"linesearch_failures={report.linesearch_failures}\n")
-        fh.write("attractor,count\n")
-        for label in LABELS:
-            name = f'"{label}"' if "," in label else label
-            fh.write(f"{name},{report.counts.get(label, 0)}\n")
+                       cfg.variant, elapsed, seed, totals)

@@ -13,7 +13,7 @@ import dcboost
 from dcboost import CauchyModel, PdConfig, QuadL1Problem, Variant
 from dcboost import cli
 from dcboost.cli import main
-from dcboost.toy_problems import default_basin_config
+from dcboost.toy_problems import basin_experiment, default_basin_config
 
 
 def run(capsys, *argv):
@@ -145,6 +145,26 @@ def test_denoise_input_with_comment_at_raster_exits_2_with_one_line(
     assert lines[0].startswith("dcboost denoise: ")
     assert "comment right after the maxval" in lines[0]
     assert not list(tmp_path.glob("*_trace.csv"))
+
+
+def test_raster_too_large_to_allocate_exits_2_with_one_line(
+        tmp_path, capsys, monkeypatch):
+    # numpy's own error, raised without allocating: a real 10^5 x 10^5
+    # raster could start filling memory where the system overcommits
+    def refuse(m1, m2):
+        raise MemoryError(f"Unable to allocate 74.5 GiB for an array with "
+                          f"shape ({m1}, {m2}) and data type float64")
+
+    monkeypatch.setattr(cli, "make_squares_image", refuse)
+    code = main(["denoise", "--synthetic", "--size", "100000x100000",
+                 "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("dcboost denoise: Unable to allocate 74.5 GiB for "
+                            "an array with shape (100000, 100000) and data "
+                            "type float64\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("gamma", ["1e200", "1e-200"])
@@ -298,13 +318,24 @@ def test_basin_reports_iteration_totals(tmp_path, capsys):
     code, out = run(capsys, "basin", "--n", "200", "--seed", "5",
                     "--variant", "bdca", "--out-dir", str(tmp_path))
     assert code == 0
-    last = dict(field.split("=") for field in out.splitlines()[-1].split())
+    report = basin_experiment(200, seed=5, variant=Variant.BDCA)
+
+    def items(fields):  # key=value fields as (key, int) pairs, in order
+        return [(key, int(value))
+                for key, value in (field.split("=") for field in fields)]
+
+    # stdout's last line and the CSV header's tail carry report.totals in
+    # its order, the manifest (whose keys are sorted) as a mapping
+    assert items(out.splitlines()[-1].split()) == list(report.totals.items())
+    header = (tmp_path / "basin_report.csv").read_text().splitlines()[0]
+    assert header.split()[:2] == ["#", "seed=5"]
+    assert items(header.split()[5:]) == list(report.totals.items())
     manifest = json.loads((tmp_path / "basin_manifest.json").read_text())
     assert "workers" not in manifest["flags"]
     totals = manifest["totals"]
+    assert totals == report.totals
     assert set(totals) == {"outer_iterations", "backtracks",
                            "linesearch_failures"}
-    assert {key: int(value) for key, value in last.items()} == totals
     assert totals["outer_iterations"] >= 200
 
 
@@ -326,6 +357,24 @@ def test_basin_deterministic_data_rows(tmp_path, capsys):
     assert code == 0
     rows = lambda d: (d / "basin_report.csv").read_text().splitlines()[1:]
     assert rows(tmp_path / "a") == rows(tmp_path / "b")
+
+
+def test_basin_csv_layout(tmp_path, capsys):
+    code, _ = run(capsys, "basin", "--n", "50", "--seed", "3",
+                  "--variant", "ibdca", "--out-dir", str(tmp_path))
+    assert code == 0
+    report = basin_experiment(50, seed=3, variant=Variant.IBDCA)
+    lines = (tmp_path / "basin_report.csv").read_text().splitlines()
+    assert lines[0].startswith("# seed=3 n_points=50 variant=ibdca elapsed_s=")
+    assert lines[0].endswith(
+        f" outer_iterations={report.totals['outer_iterations']} "
+        f"backtracks={report.totals['backtracks']} "
+        "linesearch_failures=0")
+    assert lines[1] == "attractor,count"
+    assert lines[2] == '"(0,0)",50'
+    assert len(lines) == 2 + 5
+    total = sum(int(line.rsplit(",", 1)[1]) for line in lines[2:])
+    assert total == 50
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 import dcboost
 import oracles
 from dcboost import (QuadL1Problem, ScadSeparableProblem, Status, Variant,
-                     basin_experiment, solve, solve_lanes, write_basin_csv)
+                     basin_experiment, solve, solve_lanes)
 from dcboost import toy_problems
 from dcboost.toy_problems import (ATTRACTOR_LABELS, ATTRACTORS, BASIN_BLOCK,
                                   CLASSIFY_RADIUS, LABELS, OTHER_LABEL,
-                                  classify_lanes, default_basin_config)
+                                  BasinReport, classify_lanes,
+                                  default_basin_config)
 from oracles import (classify_point, quadl1_criticality_gap,
                      scad_criticality_gap, scad_g_tilde, scad_h_tilde,
                      scad_h_tilde_prime, scad_phi_tilde, scad_subproblem_1d,
@@ -387,6 +389,13 @@ def _lane_starts():
     return np.vstack([rng.uniform(0.0, 3.0, size=(200, 2)), grid, mixed])
 
 
+def _lane_totals(lanes):
+    """The totals a BasinReport should give for one stack of lanes."""
+    return {"outer_iterations": lanes.outer_iterations.sum(),
+            "backtracks": lanes.backtracks.sum(),
+            "linesearch_failures": lanes.linesearch_failures.sum()}
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_basin_lanes_match_single_solves(variant, monkeypatch):
     model = ScadSeparableProblem()
@@ -408,16 +417,11 @@ def test_basin_lanes_match_single_solves(variant, monkeypatch):
 
     whole = basin_experiment(0, seed=0, variant=variant, points=starts)
     assert whole.counts == expected
-    assert whole.outer_iterations == lanes.outer_iterations.sum()
-    assert whole.backtracks == lanes.backtracks.sum()
-    assert whole.linesearch_failures == lanes.linesearch_failures.sum()
+    assert whole.totals == _lane_totals(lanes)
     monkeypatch.setattr(toy_problems, "BASIN_BLOCK", 7)
     split = basin_experiment(0, seed=0, variant=variant, points=starts)
     assert split.counts == whole.counts
-    assert ((split.outer_iterations, split.backtracks,
-             split.linesearch_failures)
-            == (whole.outer_iterations, whole.backtracks,
-                whole.linesearch_failures))
+    assert split.totals == whole.totals
 
 
 # breakpoints of phi~ on the sampling box and their one-ulp neighbours
@@ -454,10 +458,7 @@ def test_any_lane_split_gives_the_whole_stack_results(variant, monkeypatch):
         monkeypatch.setattr(toy_problems, "BASIN_BLOCK", block)
         split = basin_experiment(0, seed=0, variant=variant, points=starts)
         assert split.counts == expected
-        assert ((split.outer_iterations, split.backtracks,
-                 split.linesearch_failures)
-                == (whole.outer_iterations.sum(), whole.backtracks.sum(),
-                    whole.linesearch_failures.sum()))
+        assert split.totals == _lane_totals(whole)
         points = np.vstack([whole.final_points, np.reshape(near, (-1, 2))])
         assert ([LABELS[i] for i in classify_lanes(points)]
                 == [classify_point(p) for p in points])
@@ -474,10 +475,7 @@ def test_basin_block_draws_equal_one_draw():
         drawn = basin_experiment(n, seed=11, variant=variant)
         given = basin_experiment(0, seed=11, variant=variant, points=points)
         assert drawn.counts == given.counts
-        assert ((drawn.outer_iterations, drawn.backtracks,
-                 drawn.linesearch_failures)
-                == (given.outer_iterations, given.backtracks,
-                    given.linesearch_failures))
+        assert drawn.totals == given.totals
 
 
 def test_basin_memory_flat_in_n():
@@ -533,17 +531,13 @@ def test_default_basin_config_lambda_bar():
     assert default_basin_config(Variant.NMBDCA).lambda_bar == 2.0
 
 
-def test_basin_csv_layout(tmp_path):
-    report = basin_experiment(50, seed=3, variant=Variant.IBDCA)
-    path = tmp_path / "basin.csv"
-    write_basin_csv(report, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# seed=3 n_points=50 variant=ibdca elapsed_s=")
-    assert lines[0].endswith(f" outer_iterations={report.outer_iterations} "
-                             f"backtracks={report.backtracks} "
-                             "linesearch_failures=0")
-    assert lines[1] == "attractor,count"
-    assert lines[2] == '"(0,0)",50'
-    assert len(lines) == 2 + 5
-    total = sum(int(line.rsplit(",", 1)[1]) for line in lines[2:])
-    assert total == 50
+def test_basin_report_keys_come_in_output_order():
+    # the CLI prints and writes both mappings in their own order
+    assert [f.name for f in dataclasses.fields(BasinReport)] == [
+        "counts", "n_points", "variant", "elapsed", "seed", "totals"]
+    report = basin_experiment(20, seed=7, variant=Variant.BDCA)
+    assert list(report.counts) == list(LABELS)
+    assert list(report.totals) == ["outer_iterations", "backtracks",
+                                   "linesearch_failures"]
+    for value in (*report.counts.values(), *report.totals.values()):
+        assert type(value) is int  # JSON-serializable as it is
