@@ -353,10 +353,8 @@ def cmd_denoise(args):
     outputs["trace"] = trace_path
     restored_q = quantize_u8(result.final_point)
     images = {"restored": restored_q}
-    if source != "input":
-        images["noisy"] = noisy
     if clean is not None:
-        images["clean"] = clean
+        images.update(noisy=noisy, clean=clean)
     for name, image in images.items():
         outputs[name] = out_dir / f"{name}.pgm"
         write_pgm(outputs[name], image)
@@ -371,10 +369,10 @@ def cmd_denoise(args):
     if clean is not None:
         summary["psnr_restored"] = psnr(restored_q, clean)
         summary["re_err_restored"] = re_err(restored_q, clean)
-    unconverged = [rec.aux.get("inner_converged", 1.0) == 0.0
-                   for rec in result.trace]
-    summary["inner_unconverged"] = sum(unconverged)
-    summary["inner_converged_final"] = inner_ok = not any(unconverged[-1:])
+    summary["inner_unconverged"] = sum(
+        not rec.aux["inner_converged"] for rec in result.trace)
+    summary["inner_converged_final"] = inner_ok = (
+        result.trace[-1].aux["inner_converged"])
     metrics_path = out_dir / "denoise_metrics.json"
     metrics_path.write_text(_json_text(summary))
     outputs["metrics"] = metrics_path
@@ -382,7 +380,7 @@ def cmd_denoise(args):
     flags = {
         "source": source, "size": list(noisy.shape), "gamma": gamma,
         "noise_gamma": noise_gamma, "seed": args.seed, "mu": mu, "c": c,
-        "inner_max_iter": inner.max_inner_iter, "inner_tol": inner.tol_inner,
+        **{flag: getattr(inner, field) for flag, field in _INNER_FLAGS.items()},
     }
     _write_manifest(out_dir, "denoise", cfg, model.rho, flags, outputs)
 

@@ -472,12 +472,9 @@ class CauchyModel(DcModel):
         if not np.all(np.isfinite(result.u)):
             raise SubproblemError("inner solver produced non-finite iterate",
                                   residual=result.resid)
-        info = {
-            "inner_iters": float(result.iters),
-            "inner_resid": result.resid,
-            "inner_converged": 1.0 if result.converged else 0.0,
-        }
-        return result.u, info
+        return result.u, {"inner_iters": result.iters,
+                          "inner_resid": result.resid,
+                          "inner_converged": result.converged}
 
     # Lane loops over the per-raster methods, whose calls the benchmark's
     # tracer counts as phi evaluations and outer iterations

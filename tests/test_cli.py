@@ -557,11 +557,6 @@ def test_denoise_rejects_bad_c(tmp_path, capsys):
     assert "mu/gamma^2" in err
 
 
-def test_denoise_rejects_nonpositive_gamma(tmp_path):
-    assert main(["denoise", "--synthetic", "--gamma", "0",
-                 "--out-dir", str(tmp_path)]) == 2
-
-
 def test_denoise_nan_noise_gamma_is_named(tmp_path, capsys):
     # the error names the noise scale, not the all-NaN observation it made
     assert main(["denoise", "--synthetic", "--size", "16x16",

@@ -477,9 +477,14 @@ def test_solve_max_iterations_status():
     assert len(result.trace) == 3
 
 
-def test_solve_attaches_partial_trace_on_subproblem_failure():
-    # the boosted path: a line search runs between the subproblems, and the
-    # records before the failing third one still reach on_record
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(variant=Variant.DCA, tol_direction=0.0),
+    ibdca_cfg(tol_direction=0.0),
+], ids=["dca", "ibdca"])
+def test_solve_attaches_partial_trace_on_subproblem_failure(cfg):
+    # on the plain path and on the boosted one, where a line search runs
+    # between the subproblems, the records before the failing third one
+    # still reach on_record
     class BreaksAtThird(QuadraticModel):
         calls = 0
 
@@ -491,8 +496,8 @@ def test_solve_attaches_partial_trace_on_subproblem_failure():
 
     kept = []
     with pytest.raises(SubproblemError, match="non-finite"):
-        solve(BreaksAtThird(), np.array([9.0, 9.0]),
-              ibdca_cfg(tol_direction=0.0), on_record=kept.append)
+        solve(BreaksAtThird(), np.array([9.0, 9.0]), cfg,
+              on_record=kept.append)
     assert [rec.k for rec in kept] == [0, 1]
     # the partial trace keeps no iterate alive
     assert all(rec.x is None for rec in kept)
@@ -821,26 +826,6 @@ def test_on_record_streams_every_record():
                    on_record=seen.append)
     assert len(seen) == len(result.trace)
     assert all(a is b for a, b in zip(seen, result.trace))
-
-
-def test_on_record_receives_partial_trace_before_failure():
-    class BreaksAtThird(QuadraticModel):
-        calls = 0
-
-        def subproblem_lanes(self, X):
-            BreaksAtThird.calls += 1
-            if BreaksAtThird.calls >= 3:
-                return np.full(np.shape(X), math.nan), [{}] * len(X)
-            return np.asarray(X, dtype=float) / 3.0, [{}] * len(X)
-
-    seen = []
-    with pytest.raises(SubproblemError):
-        solve(BreaksAtThird(), np.array([9.0, 9.0]),
-              SolverConfig(variant=Variant.DCA, tol_direction=0.0),
-              on_record=seen.append)
-    assert [rec.k for rec in seen] == [0, 1]
-    # the kept records hold no iterate once their callback has returned
-    assert all(rec.x is None for rec in seen)
 
 
 def test_trace_csv_aux_columns(tmp_path):

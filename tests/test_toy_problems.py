@@ -499,14 +499,19 @@ def test_basin_rejects_cfg_for_another_variant():
                          cfg=default_basin_config(Variant.BDCA))
 
 
-def test_import_loads_no_process_pool():
-    code = ("import sys, dcboost; "
+def test_import_loads_no_process_pool_subprocess_or_metadata():
+    # the import is most of the benchmark's setup_s: beyond numpy, dcboost
+    # and its CLI load only small stdlib modules and their own
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "import dcboost, dcboost.cli; "
             "print([m for m in ('multiprocessing', 'concurrent.futures') "
-            "if m in sys.modules])")
+            "if m in sys.modules]); "
+            "print([m for m in ('subprocess', 'importlib.metadata') "
+            "if m in set(sys.modules) - before])")
     env = dict(os.environ, PYTHONPATH=str(Path(dcboost.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[]"]
 
 
 def test_basin_rejects_nonpositive_n():

@@ -616,6 +616,25 @@ def test_model_subproblem_residual_below_tolerance():
     assert np.array_equal(y, y2)
 
 
+def test_model_subproblem_info_is_tv_prox_diagnostics_as_returned():
+    # the CLI decides its exit code on the flag as a bool, and only its
+    # trace writer turns the counts into text
+    f = np.random.default_rng(53).uniform(0.0, 255.0, size=(8, 8))
+    model = CauchyModel(f, mu=15.0, gamma=3.0, c=1.83)
+    _, info = model.solve_subproblem_with_info(f)
+    prox = tv_prox(grad_h_cauchy(f, model), model.c, model.inner, u0=f)
+    assert type(info["inner_iters"]) is int
+    assert info["inner_iters"] == prox.iters
+    assert type(info["inner_resid"]) is float
+    assert info["inner_resid"] == prox.resid
+    assert info["inner_converged"] is True
+    capped = CauchyModel(f, mu=15.0, gamma=3.0, c=1.83,
+                         inner=PdConfig(max_inner_iter=1))
+    _, info = capped.solve_subproblem_with_info(f)
+    assert info["inner_iters"] == 1
+    assert info["inner_converged"] is False
+
+
 def test_model_subproblem_rejects_a_non_finite_inner_iterate():
     # at entries of 1e308, c*u overflows in grad_h, and the inner loop
     # turns the infinite pull into NaN
