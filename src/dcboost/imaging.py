@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,10 +116,21 @@ class PgmError(ValueError):
     """Malformed or unsupported PGM content."""
 
 
+# One header token, after whitespace (space, tab, CR, LF; \s would take form
+# feed and vertical tab too) and # comments.  A comment runs to a newline or
+# the data's end: else, with no token after it, the engine backtracks into it
+# and reads its tail as a token (a possessive * would need Python 3.11).
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\n]*(?:\n|\Z))*([^ \t\r\n#]+)")
+
+
 def read_pgm(path):
     """Read a binary 8-bit PGM (P5, maxval 255) as a float array."""
     data = Path(path).read_bytes()
-    tokens, offset = _pgm_header_tokens(data)
+    tokens, offset = [], 0
+    while len(tokens) < 4 and (match := _PGM_TOKEN.match(data, offset)):
+        tokens.append(match[1])
+        offset = match.end()
+    offset += 1  # exactly one whitespace byte follows the maxval
     if len(tokens) < 4:
         raise PgmError(f"{path}: truncated PGM header")
     if tokens[0] != b"P5":
@@ -139,27 +151,6 @@ def read_pgm(path):
                        f"({len(payload)} of {width * height} bytes)")
     pixels = np.frombuffer(payload, dtype=np.uint8)
     return pixels.reshape(height, width).astype(float)
-
-
-def _pgm_header_tokens(data):
-    """First four header tokens and the payload offset; honors # comments."""
-    tokens = []
-    i = 0
-    while i < len(data) and len(tokens) < 4:
-        ch = data[i:i + 1]
-        if ch in b" \t\r\n":
-            i += 1
-        elif ch == b"#":
-            while i < len(data) and data[i:i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < len(data) and data[j:j + 1] not in b" \t\r\n#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    # exactly one whitespace byte separates the maxval from the pixel bytes
-    return tokens, i + 1
 
 
 def write_pgm(path, u):

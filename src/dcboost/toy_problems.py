@@ -183,7 +183,7 @@ class ScadSeparableProblem(DcModel):
 # ---------------------------------------------------------------------------
 
 ATTRACTORS = ((0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (2.0, 2.0))
-ATTRACTOR_LABELS = ("(0,0)", "(0,2)", "(2,0)", "(2,2)")
+ATTRACTOR_LABELS = tuple(f"({u:g},{v:g})" for u, v in ATTRACTORS)
 OTHER_LABEL = "other"
 LABELS = ATTRACTOR_LABELS + (OTHER_LABEL,)
 CLASSIFY_RADIUS = 1e-3

@@ -60,6 +60,7 @@ class _Band(NamedTuple):
     of the band before.  ``row_last`` is the raster's last row when the
     band holds it, else empty; ``col_penult`` is the column before the
     last, zeros when the raster has one column (the padding beyond it).
+    ``whole`` is the whole raster, flat, whichever rows the band holds.
     """
 
     flat: np.ndarray
@@ -73,6 +74,7 @@ class _Band(NamedTuple):
     col_last: np.ndarray
     col_penult: np.ndarray
     row_last: np.ndarray
+    whole: np.ndarray
 
 
 def _band(x, r0=0, r1=None):
@@ -89,7 +91,7 @@ def _band(x, r0=0, r1=None):
     penult = flat[n - 2::n] if n > 1 else np.zeros(r1 - r0)
     return _Band(flat, flat[1:], flat[:-1], whole[a + n:cut + n],
                  whole[a:cut], whole[start:b], whole[start - n:b - n],
-                 flat[::n], flat[n - 1::n], penult, whole[cut:b])
+                 flat[::n], flat[n - 1::n], penult, whole[cut:b], whole)
 
 
 def _raster(a, name):
@@ -251,18 +253,16 @@ def _no_sync():
     """The sync point of a lone band, which shares no rows."""
 
 
-def _pd_band(views, whole, c, cfg, norms, mine, sync):
+def _pd_band(views, c, cfg, norms, mine, sync):
     """Run the iterations of :func:`tv_prox` on one band of rows.
 
-    ``views`` are the band's views of the loop's buffers and ``whole`` the
-    flat whole-raster scratch, u_hat and u_hat_prev.  The band forms the
-    stop's norms numbered in ``mine`` (0: of the change in u_hat, 1: of the
-    previous u_hat) over the whole raster into ``norms``, and calls
+    ``views`` are the band's views of the loop's buffers.  The band forms
+    the stop's norms numbered in ``mine`` (0: of the change in u_hat, 1: of
+    the previous u_hat) over the whole raster into ``norms``, and calls
     ``sync`` wherever a band next reads rows that another has just written.
     Returns ``(iters, resid, converged, u_hat)``, u_hat flat and whole.
     """
     uc, ub, uh, uhp, px, py, gx, gy, p, g, vf = views
-    s_all, uh_all, uhp_all = whole
     s = gx.flat  # scratch once p*p is summed
     tau = sigma = PD_STEP0
 
@@ -284,7 +284,6 @@ def _pd_band(views, whole, c, cfg, norms, mine, sync):
         sync()
 
         uh, uhp = uhp, uh
-        uh_all, uhp_all = uhp_all, uh_all
         _div_into(px, py, uh)  # u_hat = div(p)
         # u_next = (u + tau*divp + tau*v) / (1 + tau*c), over ubar (read
         # for the last time by grad above)
@@ -309,15 +308,15 @@ def _pd_band(views, whole, c, cfg, norms, mine, sync):
         np.subtract(uh.flat, uhp.flat, out=s)
         sync()  # each norm reads the whole raster
         if 0 in mine:
-            norms[0] = math.sqrt(s_all.dot(s_all))
+            norms[0] = math.sqrt(gx.whole.dot(gx.whole))
         if 1 in mine:
-            norms[1] = math.sqrt(uhp_all.dot(uhp_all))
+            norms[1] = math.sqrt(uhp.whole.dot(uhp.whole))
         sync()  # the next dual step rewrites s, and div u_hat_prev
         resid = norms[0] / max(norms[1], 1e-300)
         if resid <= cfg.tol_inner:
             converged = True
             break
-    return iters, resid, converged, uh_all
+    return iters, resid, converged, uh.whole
 
 
 def tv_prox(v, c, cfg, u0):
@@ -334,7 +333,7 @@ def tv_prox(v, c, cfg, u0):
     u_hat = (v + div p)/c, which the saddle-point optimality condition makes
     exact at the dual optimum; the dual settles orders of magnitude sooner
     than the prox iterate, whose step sizes vanish.  The stop is on the
-    relative change of u_hat; when max_inner_iter is reached first the best
+    relative change of u_hat; when max_inner_iter is reached first the last
     iterate comes back flagged ``converged=False``.
 
     The loop allocates no arrays.  Its eight raster buffers are made once
@@ -384,17 +383,16 @@ def tv_prox(v, c, cfg, u0):
                 for x in (u, ubar, u_hat, u_hat_prev, *p, *g)),
               p2[:, r0 * n:r1 * n], g2[:, r0 * n:r1 * n], vf[r0 * n:r1 * n])
              for r0, r1 in zip(cuts, cuts[1:])]
-    whole = (g2[0], u_hat.reshape(-1), u_hat_prev.reshape(-1))
     norms = [0.0, 0.0]
     if len(bands) == 1:
-        result = _pd_band(bands[0], whole, c, cfg, norms, (0, 1), _no_sync)
+        result = _pd_band(bands[0], c, cfg, norms, (0, 1), _no_sync)
     else:
-        result = _pd_two_bands(bands, whole, c, cfg, norms)
+        result = _pd_two_bands(bands, c, cfg, norms)
     iters, resid, converged, out = result
     return TvProxResult(out.reshape(u.shape), iters, resid, converged)
 
 
-def _pd_two_bands(bands, whole, c, cfg, norms):
+def _pd_two_bands(bands, c, cfg, norms):
     """:func:`_pd_band` on the first band in the calling thread and on the
     second in a worker thread, which is joined before this returns or
     raises; each band forms one of the two norms."""
@@ -403,7 +401,7 @@ def _pd_two_bands(bands, whole, c, cfg, norms):
 
     def second_band():
         try:
-            _pd_band(bands[1], whole, c, cfg, norms, (1,), barrier.wait)
+            _pd_band(bands[1], c, cfg, norms, (1,), barrier.wait)
         except BaseException as exc:  # re-raised by the caller once joined
             errors.append(exc)
             barrier.abort()
@@ -414,7 +412,7 @@ def _pd_two_bands(bands, whole, c, cfg, norms):
                               args=(second_band,), name="tv_prox band 1")
     worker.start()
     try:
-        result = _pd_band(bands[0], whole, c, cfg, norms, (0,), barrier.wait)
+        result = _pd_band(bands[0], c, cfg, norms, (0,), barrier.wait)
     except threading.BrokenBarrierError:
         pass  # the second band broke it: its error is raised below
     except BaseException:

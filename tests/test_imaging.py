@@ -157,9 +157,16 @@ def test_pgm_known_payload(tmp_path):
     assert np.array_equal(read_pgm(path), [[0.0, 1.0], [2.0, 3.0]])
 
 
-def test_pgm_header_comments(tmp_path):
+@pytest.mark.parametrize("header", [
+    b"P5\n# a comment\n2 1 # inline\n255\n",
+    b"P5\r\n2\t1\r\n255\n",
+    b"P5#c\n2 1\n255\n",
+    b"#a\nP5#b\n#c\n2#d\n1#e\n255\n",
+], ids=["comments", "crlf-and-tab", "comment-after-magic",
+        "comment-between-every-pair"])
+def test_pgm_header_comments(header, tmp_path):
     path = tmp_path / "c.pgm"
-    path.write_bytes(b"P5\n# a comment\n2 1 # inline\n255\n" + bytes([9, 8]))
+    path.write_bytes(header + bytes([9, 8]))
     assert np.array_equal(read_pgm(path), [[9.0, 8.0]])
 
 
@@ -183,7 +190,12 @@ def test_pgm_rejects_truncated_payload(tmp_path):
     (b"P5\n0 2\n255\n", "bad dimensions 0x2"),
     # the "#" ends the maxval token; the pixel bytes would start inside it
     (b"P5\n2 1\n255#c\n" + bytes([9, 8]), "comment right after the maxval"),
-], ids=["truncated-header", "non-numeric", "zero-width", "comment-at-raster"])
+    # the comment runs to the end of the data, taking "c 255" with it
+    (b"P5 2 1 #c 255", "truncated PGM header"),
+    # form feed is no header whitespace, so it belongs to the first token
+    (b"P5\f\n2 1\n255\n" + bytes(2), "P5"),
+], ids=["truncated-header", "non-numeric", "zero-width", "comment-at-raster",
+        "comment-to-end-of-data", "form-feed-in-magic"])
 def test_pgm_rejects_malformed_header(data, match, tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)
