@@ -227,8 +227,10 @@ def _write_manifest(out_dir, command, cfg, rho, flags, outputs, **extra):
     return path
 
 
-# trace CSV columns, one row per outer iteration, then the command's aux keys
-TRACE_COLUMNS = ("k", "phi", "d_norm", "lambda", "backtracks", "wall_time_s")
+# trace CSV column -> the IterateRecord field it reads, one row per outer
+# iteration; the command's aux keys follow
+TRACE_COLUMNS = {"k": "k", "phi": "phi", "d_norm": "d_norm", "lambda": "lam",
+                 "backtracks": "backtracks", "wall_time_s": "wall_time"}
 
 
 def format_float(value):
@@ -236,18 +238,13 @@ def format_float(value):
     return format(float(value), ".17g")
 
 
-def trace_row(rec, aux_keys=()):
-    """One CSV row for a record; ``aux_keys`` columns read nan if missing."""
-    row = [
-        str(rec.k),
-        format_float(rec.phi),
-        format_float(rec.d_norm),
-        format_float(rec.lam),
-        str(rec.backtracks),
-        format_float(rec.wall_time),
-    ]
-    row.extend(format_float(rec.aux.get(key, float("nan"))) for key in aux_keys)
-    return ",".join(row)
+def trace_row(rec, aux_keys):
+    """One CSV row for a record; ``aux_keys`` columns read nan if missing.
+    The counts k and backtracks print as ints: below 2^53, a float holds
+    them exactly and .17g writes no exponent."""
+    cells = [getattr(rec, field) for field in TRACE_COLUMNS.values()]
+    cells.extend(rec.aux.get(key, math.nan) for key in aux_keys)
+    return ",".join(map(format_float, cells))
 
 
 class _TraceStream:
@@ -264,7 +261,7 @@ class _TraceStream:
     def __call__(self, rec):
         if self.fh is None:
             self.fh = open(self.path, "w", newline="")
-            self.fh.write(",".join(TRACE_COLUMNS + self.aux_keys) + "\n")
+            self.fh.write(",".join((*TRACE_COLUMNS, *self.aux_keys)) + "\n")
         self.fh.write(trace_row(rec, self.aux_keys) + "\n")
         self.fh.flush()
 

@@ -29,7 +29,7 @@ import math
 import numbers
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -122,9 +122,10 @@ class DcModel(ABC):
         return Y[0], infos[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Outer-loop parameters.
+    """Outer-loop parameters, frozen once checked: change one with
+    ``dataclasses.replace``, which checks the new config again.
 
     ``alpha`` is the sufficient-decrease coefficient (theory wants
     alpha < model.rho), ``beta`` the backtracking shrink factor, and
@@ -145,7 +146,7 @@ class SolverConfig:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        self.variant = Variant(self.variant)
+        object.__setattr__(self, "variant", Variant(self.variant))
         for name in ("alpha", "lambda_bar", "tol_direction", "tol_rel_energy"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -191,7 +192,7 @@ class IterateRecord:
     lam: float
     backtracks: int
     wall_time: float
-    aux: dict = field(default_factory=dict)
+    aux: dict
 
 
 @dataclass
@@ -200,8 +201,8 @@ class SolveResult:
     final_phi: float
     status: Status
     trace: list
-    monotone_violations: int = 0
-    linesearch_failures: int = 0
+    monotone_violations: int
+    linesearch_failures: int
 
 
 @dataclass

@@ -135,10 +135,10 @@ def read_pgm(path):
         raise PgmError(f"{path}: truncated PGM header")
     if tokens[0] != b"P5":
         raise PgmError(f"{path}: not a binary PGM (P5) file")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError as exc:
-        raise PgmError(f"{path}: non-numeric PGM header field") from exc
+    # ASCII digits (int() takes signs and _), within int()'s default limit
+    if not all(t.isdigit() and len(t) <= 4300 for t in tokens[1:4]):
+        raise PgmError(f"{path}: non-numeric PGM header field")
+    width, height, maxval = (int(t) for t in tokens[1:4])
     if width < 1 or height < 1:
         raise PgmError(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
@@ -159,8 +159,8 @@ def write_pgm(path, u):
     if np.isnan(u).any():
         raise ValueError("image has NaN pixels")
     q = quantize_u8(u).astype(np.uint8)
-    if q.ndim != 2:
-        raise ValueError("image must be 2-D")
+    if q.ndim != 2 or q.size == 0:  # read_pgm rejects an empty raster
+        raise ValueError(f"image of shape {q.shape} is empty or not 2-D")
     height, width = q.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (width, height))

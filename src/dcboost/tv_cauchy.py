@@ -206,10 +206,10 @@ def grad_h_cauchy(u, model):
     return np.subtract(s, r, out=s)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PdConfig:
-    """Inner primal-dual solver settings; the stop is on relative primal
-    change."""
+    """Inner primal-dual solver settings, frozen once checked; the stop is
+    on relative primal change."""
 
     max_inner_iter: int = 300
     tol_inner: float = 1e-5
@@ -260,15 +260,11 @@ def _pd_band(views, c, cfg, norms, mine, sync):
     the stop's norms numbered in ``mine`` (0: of the change in u_hat, 1: of
     the previous u_hat) over the whole raster into ``norms``, and calls
     ``sync`` wherever a band next reads rows that another has just written.
-    Returns ``(iters, resid, converged, u_hat)``, u_hat flat and whole.
+    Returns the :class:`TvProxResult` with u_hat flat and whole.
     """
     uc, ub, uh, uhp, px, py, gx, gy, p, g, vf = views
     s = gx.flat  # scratch once p*p is summed
     tau = sigma = PD_STEP0
-
-    resid = math.inf
-    converged = False
-    iters = 0
     for iters in range(1, cfg.max_inner_iter + 1):
         _grad_into(ub, gx, gy)  # g = grad(ubar)
         # p = (p + sigma*g) / max(1, sqrt(px*px + py*py))
@@ -313,10 +309,10 @@ def _pd_band(views, c, cfg, norms, mine, sync):
             norms[1] = math.sqrt(uhp.whole.dot(uhp.whole))
         sync()  # the next dual step rewrites s, and div u_hat_prev
         resid = norms[0] / max(norms[1], 1e-300)
-        if resid <= cfg.tol_inner:
-            converged = True
+        converged = resid <= cfg.tol_inner
+        if converged:
             break
-    return iters, resid, converged, uh.whole
+    return TvProxResult(uh.whole, iters, resid, converged)
 
 
 def tv_prox(v, c, cfg, u0):
@@ -388,8 +384,7 @@ def tv_prox(v, c, cfg, u0):
         result = _pd_band(bands[0], c, cfg, norms, (0, 1), _no_sync)
     else:
         result = _pd_two_bands(bands, c, cfg, norms)
-    iters, resid, converged, out = result
-    return TvProxResult(out.reshape(u.shape), iters, resid, converged)
+    return result._replace(u=result.u.reshape(m, n))
 
 
 def _pd_two_bands(bands, c, cfg, norms):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -782,6 +783,18 @@ def test_solver_config_validation(bad):
 def test_variant_accepts_strings():
     cfg = SolverConfig(variant="dca")
     assert cfg.variant is Variant.DCA
+
+
+def test_solver_config_is_frozen():
+    # a variant set after the checks would run another variant's rule;
+    # dataclasses.replace makes a new config and checks it again
+    cfg = SolverConfig()
+    for field in dataclasses.fields(SolverConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field.name, getattr(cfg, field.name))
+    assert dataclasses.replace(cfg, variant="dca").variant is Variant.DCA
+    with pytest.raises(ValueError, match="beta"):
+        dataclasses.replace(cfg, beta=2.0)
 
 
 def test_solver_config_accepts_numpy_integer_counts():

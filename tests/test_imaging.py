@@ -194,8 +194,15 @@ def test_pgm_rejects_truncated_payload(tmp_path):
     (b"P5 2 1 #c 255", "truncated PGM header"),
     # form feed is no header whitespace, so it belongs to the first token
     (b"P5\f\n2 1\n255\n" + bytes(2), "P5"),
+    # header numbers are ASCII digits: int() would also take "_" and a sign
+    (b"P5 2_0 1 255\n" + bytes(20), "non-numeric"),
+    (b"P5 +2 1 255\n" + bytes(2), "non-numeric"),
+    (b"P5 2 1 2_55\n" + bytes(2), "non-numeric"),
+    # past int()'s 4300-digit limit: a PgmError, not int()'s own ValueError
+    (b"P5 " + b"1" * 4301 + b" 1 255\n", "non-numeric"),
 ], ids=["truncated-header", "non-numeric", "zero-width", "comment-at-raster",
-        "comment-to-end-of-data", "form-feed-in-magic"])
+        "comment-to-end-of-data", "form-feed-in-magic", "underscore-width",
+        "signed-width", "underscore-maxval", "too-many-digits"])
 def test_pgm_rejects_malformed_header(data, match, tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)
@@ -225,8 +232,11 @@ def test_pgm_write_rejects_nan_and_clamps_infinities(tmp_path):
     assert np.array_equal(read_pgm(path), [[0.0, 1.0], [2.0, 255.0]])
 
 
-@pytest.mark.parametrize("image", [[1.0, 2.0], [[[1.0]]]], ids=["1d", "3d"])
-def test_pgm_write_rejects_an_image_that_is_not_2d(image, tmp_path):
+# read_pgm rejects an empty raster, so write_pgm writes none
+@pytest.mark.parametrize("image", [[1.0, 2.0], [[[1.0]]], np.zeros((0, 4)),
+                                   np.zeros((3, 0))],
+                         ids=["1d", "3d", "0x4", "3x0"])
+def test_pgm_write_rejects_an_image_that_is_empty_or_not_2d(image, tmp_path):
     path = tmp_path / "flat.pgm"
     with pytest.raises(ValueError, match="2-D"):
         write_pgm(path, image)

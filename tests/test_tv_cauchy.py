@@ -534,6 +534,12 @@ def test_pd_config_validation():
         with pytest.raises(ValueError, match="integer"):
             PdConfig(max_inner_iter=bad)
     assert PdConfig(max_inner_iter=np.int64(3)).max_inner_iter == 3
+    # frozen, so no count reaches tv_prox unchecked
+    for field in dataclasses.fields(PdConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(PdConfig(), field.name, 0)
+    with pytest.raises(ValueError, match="max_inner_iter"):
+        dataclasses.replace(PdConfig(), max_inner_iter=0)
     # the first step sizes respect the operator-norm bound tau*sigma*8 <= 1
     assert PD_STEP0 * PD_STEP0 * GRAD_NORM_SQ_BOUND <= 1.0 + 1e-9
 
