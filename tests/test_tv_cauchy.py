@@ -152,6 +152,18 @@ def test_energy_shape_mismatch_raises():
         energy(np.zeros((3, 4)), model)
 
 
+def test_evaluators_reject_an_image_of_another_shape():
+    # u - f would broadcast a row or a column to f's shape: both evaluators
+    # must name the mismatch instead
+    model = CauchyModel(np.ones((3, 4)), mu=15.0, gamma=3.0, c=1.83)
+    for shape in ((4,), (1, 4), (4, 3)):
+        for evaluator in (energy, grad_h_cauchy):
+            with pytest.raises(ValueError) as excinfo:
+                evaluator(np.zeros(shape), model)
+            message = str(excinfo.value)
+            assert str(shape) in message and "(3, 4)" in message, evaluator
+
+
 def test_grad_h_at_observation():
     f = np.arange(12.0).reshape(3, 4) + 1.0
     model = CauchyModel(f, mu=15.0, gamma=3.0, c=1.83)
@@ -211,10 +223,10 @@ def test_evaluators_bitwise_equal_allocating_references():
 
 def test_evaluators_and_solve_peak_memory_in_rasters():
     # traced peaks in 128x128 rasters: energy holds its fidelity residual,
-    # then tv's gradient pair; grad_h_cauchy its result and one residual; a
-    # solve the eight tv_prox buffers over x and grad_h(x), the last
-    # iteration's y and d already dropped and the lane result's final
-    # points not yet made
+    # then tv's gradient pair; grad_h_cauchy its result and one residual;
+    # one tv_prox call its seven buffers; a solve the seven tv_prox buffers
+    # over x and grad_h(x), the last iteration's y and d already dropped and
+    # the lane result's final points not yet made
     clean = make_squares_image(128, 128)
     noisy = quantize_u8(add_cauchy_noise(clean, NoiseSpec(gamma=3.0, seed=7)))
     model = CauchyModel(noisy, mu=15.0, gamma=3.0, c=1.83)
@@ -230,9 +242,13 @@ def test_evaluators_and_solve_peak_memory_in_rasters():
 
     assert rasters(lambda: energy(noisy, model))[1] <= 2.1
     assert rasters(lambda: grad_h_cauchy(noisy, model))[1] <= 2.1
+    v = grad_h_cauchy(noisy, model)
+    prox = rasters(lambda: tv_prox(v, model.c, PdConfig(max_inner_iter=5),
+                                   noisy))[1]
+    assert prox <= 7.2
     result, peak = rasters(lambda: solve(model, noisy, cfg))
     assert len(result.trace) == 4
-    assert peak <= 10.5
+    assert peak <= 9.5
 
 
 def test_second_derivative_threshold():
@@ -386,6 +402,42 @@ def test_tv_prox_and_operators_bitwise_equal_whatever_the_layout():
 def test_tv_prox_in_two_bands_bitwise_equal_whatever_the_layout(two_bands):
     _assert_tv_prox_matches_reference(
         _layout_runs(np.random.default_rng(53)))
+
+
+@pytest.mark.parametrize("shape, count", [((3, 5), 1), ((63, 65), 1),
+                                          ((256, 256), 2)])
+def test_tv_prox_block_rasters_start_64_byte_aligned(shape, count,
+                                                     monkeypatch):
+    # every raster of the block that the views handed to _pd_band reach (u,
+    # ubar, the scratch t, px and py) starts on a cache line; m*n of 15 and
+    # 4095 floats is no whole number of lines, so the rows must be padded,
+    # and 256x256 runs in two bands
+    monkeypatch.setattr(tv_cauchy, "_two_bands", lambda m, n: m * n >= 2**16)
+    seen = []
+    pd_band = tv_cauchy._pd_band
+
+    def spy(views, *args):
+        uc, ub, t, _, _, px, py = views[:7]
+        seen.append({band.whole.ctypes.data for band in (uc, ub, t, px, py)})
+        return pd_band(views, *args)
+
+    monkeypatch.setattr(tv_cauchy, "_pd_band", spy)
+    v = 10.0 * np.random.default_rng(67).normal(size=shape)
+    tv_prox(v, 0.7, PdConfig(max_inner_iter=3), v / 0.7)
+    assert len(seen) == count
+    for addresses in seen:
+        assert len(addresses) == 5, shape  # five distinct rasters
+        assert all(address % 64 == 0 for address in addresses), shape
+
+
+def test_tv_prox_result_pins_one_raster():
+    # the returned u_hat is a raster of its own: a caller that keeps it
+    # keeps neither the block nor the other u_hat
+    v = 10.0 * np.random.default_rng(71).normal(size=(63, 65))
+    a = tv_prox(v, 0.7, PdConfig(max_inner_iter=3), v / 0.7).u
+    while a is not None:
+        assert a.nbytes <= v.nbytes + 64
+        a = a.base
 
 
 def test_tv_prox_bands_by_raster_size_and_cpus(monkeypatch):
