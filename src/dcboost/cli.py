@@ -194,16 +194,8 @@ def _ensure_out_dir(path):
 
 def _json_text(payload):
     """RFC 8259 JSON text: a non-finite float is written as null."""
-    def strict(value):
-        if isinstance(value, dict):
-            return {key: strict(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [strict(item) for item in value]
-        if isinstance(value, float) and not math.isfinite(value):
-            return None
-        return value
-    return json.dumps(strict(payload), indent=2, sort_keys=True,
-                      allow_nan=False) + "\n"
+    finite = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    return json.dumps(finite, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_manifest(out_dir, command, cfg, rho, flags, outputs, **extra):

@@ -94,12 +94,17 @@ def _band(x, r0=0, r1=None):
                  flat[::n], flat[n - 1::n], penult, whole[cut:b], whole)
 
 
-def _raster(a, name):
-    """``a`` as a C-ordered 2-D float raster, the input the flat views need."""
+def _raster(a, name, like=None, like_name=None):
+    """``a`` as a C-ordered 2-D float raster with pixels, the input the flat
+    views need; given the raster ``like``, of its shape (the flat views
+    would see only the sizes)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D raster, shape (m, n); got "
-                         f"shape {a.shape}")
+    if like is not None and a.shape != like.shape:
+        raise ValueError(f"{name} shape {a.shape} does not match {like_name} "
+                         f"shape {like.shape}")
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"{name} must be a non-empty 2-D raster, shape "
+                         f"(m, n); got shape {a.shape}")
     return np.ascontiguousarray(a)
 
 
@@ -149,10 +154,9 @@ def div(p):
     of px and last row of py never contribute (grad never produces them).
     ``p`` is a pair (px, py), or one array of shape ``(2, m, n)``.
     """
-    px, py = (_raster(q, "each of px, py in p") for q in p)
-    if px.shape != py.shape:  # the flat views would see only the lengths
-        raise ValueError(f"px shape {px.shape} and py shape {py.shape} in p "
-                         "differ")
+    px, py = p
+    px = _raster(px, "each of px, py in p")
+    py = _raster(py, "py", px, "px")
     d = np.empty(px.shape)
     with np.errstate(invalid="ignore"):  # row-crossing entries, as in grad
         _div_into(_band(px), _band(py), _band(d))
@@ -174,18 +178,10 @@ def tv(u):
     return float(np.sqrt(s, out=s).sum())
 
 
-def _residual(u, model):
-    """``u`` as floats, and ``u - f``; ``u`` must have f's shape exactly."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != model.f.shape:
-        raise ValueError(f"image shape {u.shape} does not match observation "
-                         f"shape {model.f.shape}")
-    return u, u - model.f
-
-
 def energy(u, model):
     """Restoration energy tv(u) + (mu/2) * sum(log(gamma^2 + (u-f)^2))."""
-    u, r = _residual(u, model)
+    u = _raster(u, "image", model.f, "observation")
+    r = u - model.f
     # log(gamma^2 + r*r), over r
     np.multiply(r, r, out=r)
     np.add(r, model.gamma ** 2, out=r)
@@ -200,7 +196,8 @@ def grad_h_cauchy(u, model):
     h(u) = -(mu/2) sum log(gamma^2 + (u-f)^2) + (c/2)||u||^2, so the
     fidelity contributes -mu*(u-f)/(gamma^2 + (u-f)^2).
     """
-    u, r = _residual(u, model)
+    u = _raster(u, "image", model.f, "observation")
+    r = u - model.f
     # c*u - mu*r / (gamma^2 + r*r), in s and r
     s = np.multiply(r, r)
     np.add(s, model.gamma ** 2, out=s)
@@ -339,16 +336,17 @@ def tv_prox(v, c, cfg, u0):
     relative change of u_hat; when max_inner_iter is reached first the last
     iterate comes back flagged ``converged=False``.
 
-    The loop allocates no arrays.  Its seven raster buffers are made once
-    per call, C-ordered whatever the layout of ``v`` and ``u0``, five as
-    rows of one block that each start on a 64-byte boundary, and each is
-    reached through flat views built once (:class:`_Band`); the differences
-    are the in-place step helpers that :func:`grad` and :func:`div` call
-    too, each one contiguous pass with its boundary entries rewritten
-    through strided column and row views.  Every step writes with ``out=``
-    in the operation order of the plain allocating loop (kept in the tests
-    as the reference), and the norms are ``sqrt(f.dot(f))``, the sum
-    ``np.linalg.norm`` forms, so the result is bitwise equal to it.
+    The loop allocates no arrays.  ``v`` and ``u0`` are copied once on
+    entry unless C-ordered; the seven raster buffers, made once per call,
+    are C-ordered too, five as rows of one block that each start on a
+    64-byte boundary, and each is reached through flat views built once
+    (:class:`_Band`); the differences are the in-place step helpers that
+    :func:`grad` and :func:`div` call too, each one contiguous pass with
+    its boundary entries rewritten through strided column and row views.
+    Every step writes with ``out=`` in the operation order of the plain
+    allocating loop (kept in the tests as the reference), and the norms are
+    ``sqrt(f.dot(f))``, the sum ``np.linalg.norm`` forms, so the result is
+    bitwise equal to it.
 
     A raster of TWO_BAND_PIXELS pixels or more, on a process with two CPUs
     or more, runs as two bands of rows, split at row ``m // 2``: the
@@ -364,10 +362,7 @@ def tv_prox(v, c, cfg, u0):
     if not 0.0 < 2.0 * c < math.inf:  # the step update forms 2*c*tau
         raise ValueError("c must be positive, with 2c finite")
     v = _raster(v, "v")
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != v.shape:  # the flat views would see only the sizes
-        raise ValueError(f"u0 shape {u0.shape} does not match v shape "
-                         f"{v.shape}")
+    u0 = _raster(u0, "u0", v, "v")
     m, n = v.shape
     # Seven raster-sized buffers, made once: the u_hat pair, so the one
     # returned pins no other, and one block whose aligned rows hold u, ubar,
@@ -444,8 +439,8 @@ class CauchyModel(DcModel):
     """
 
     def __init__(self, f, mu, gamma, c, inner=None):
-        f = np.asarray(f, dtype=float)
-        if f.ndim != 2 or min(f.shape) < 2:
+        f = _raster(f, "observation")
+        if min(f.shape) < 2:
             raise ValueError("observation must be a 2-D raster, at least 2x2")
         if not np.all(np.isfinite(f)):
             raise ValueError("observation contains non-finite entries")

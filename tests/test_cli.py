@@ -147,6 +147,23 @@ def test_denoise_input_with_comment_at_raster_exits_2_with_one_line(
     assert not list(tmp_path.glob("*_trace.csv"))
 
 
+def test_denoise_input_smaller_than_2x2_exits_2_with_one_line(
+        tmp_path, capsys):
+    # a valid 1x4 PGM: the model, not the reader, rejects the observation,
+    # before any output is opened
+    pgm = tmp_path / "row.pgm"
+    pgm.write_bytes(b"P5\n4 1\n255\n" + bytes([16, 32, 48, 64]))
+    code = main(["denoise", "--input", str(pgm), "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("dcboost denoise: ")
+    assert "observation" in lines[0] and "2x2" in lines[0]
+    assert not list(tmp_path.glob("*_trace.csv"))
+
+
 def test_raster_too_large_to_allocate_exits_2_with_one_line(
         tmp_path, capsys, monkeypatch):
     # numpy's own error, raised without allocating: a real 10^5 x 10^5

@@ -540,7 +540,8 @@ def test_tv_prox_rejects_u0_of_another_shape():
         assert str(v.shape) in str(excinfo.value)
 
 
-@pytest.mark.parametrize("shape", [(5,), (2, 3, 4)], ids=["1d", "3d"])
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (5, 0), (0, 5), (0, 0)],
+                         ids=["1d", "3d", "5x0", "0x5", "0x0"])
 @pytest.mark.parametrize("call, arg", [
     (grad, "u"),
     (lambda a: div((a, a)), "px, py in p"),
@@ -548,7 +549,9 @@ def test_tv_prox_rejects_u0_of_another_shape():
 ], ids=["grad", "div", "tv_prox"])
 def test_operators_reject_rasters_that_are_not_2d(call, arg, shape):
     # the error names the argument and the expected shape, not the unpacking
-    # inside the flat views
+    # inside the flat views; a raster with no pixels is rejected the same
+    # way, where a zero-column one would fail on a zero slice step and a
+    # zero-row one return empty results
     with pytest.raises(ValueError) as excinfo:
         call(np.zeros(shape))
     message = str(excinfo.value)
