@@ -10,8 +10,9 @@ library's exceptions through.  0: success.  1: a numerical failure -- a
 reader.  2: a rejected input -- any ``ValueError``, ``ArithmeticError``,
 ``OSError`` or ``MemoryError``, which covers bad flag values, unreadable
 input files, an unwritable ``--out-dir`` and a raster too large to allocate
-(argparse exits 2 on malformed flags itself).  A solver failure or a
-rejected input prints one line, ``dcboost <command>: ...``, to stderr.
+(argparse exits 2 on malformed flags itself).  130: interrupted (Ctrl-C).
+A solver failure, a rejected input or an interrupt prints one line,
+``dcboost <command>: ...``, to stderr.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ def main(argv=None):
         # a raster too large to allocate
         print(f"dcboost {args.command}: {err}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:  # a streamed trace keeps its rows so far
+        print(f"dcboost {args.command}: interrupted", file=sys.stderr)
+        return 130
 
 
 class _Parser(argparse.ArgumentParser):

@@ -72,52 +72,25 @@ class QuadL1Problem(DcModel):
 # ---------------------------------------------------------------------------
 
 # The closed forms of g~, h~' and phi~ = g~ - h~ per coordinate, over stacks
-# of lanes, bitwise equal to the scalar references in tests/oracles.py:
-# squares go through float_power, the libm pow of Python's ``**`` (x*x can
-# differ in the last bit).  Branches are formed in place to save memory.
-
-def _square(x, where):
-    # only the entries the branch keeps: pow costs far more than x*x
-    return np.float_power(x, 2.0, out=x, where=where)
-
+# of lanes, bitwise equal to the scalar references in tests/oracles.py.
 
 def _scad_phi_tilde_lanes(u):
     """phi~: |u| on [-1,1], then |u| - (|u|-1)^2/2, then (|u|-2)^2 + 3/2
     beyond 2: the SCAD shape with quadratic growth."""
     a = np.abs(u)
-    inner, outer = a <= 1.0, a >= 2.0
-    out = _square(a - 2.0, outer)
-    out += 1.5                              # (a-2)^2 + 3/2
-    mid = _square(a - 1.0, ~(inner | outer))
-    mid /= 2.0
-    np.subtract(a, mid, out=mid)            # a - (a-1)^2/2
-    np.copyto(out, mid, where=~outer)
-    np.copyto(out, a, where=inner)
-    return out
+    return np.where(a <= 1.0, a,
+                    np.where(a < 2.0, a - (a - 1.0) * (a - 1.0) / 2.0,
+                             (a - 2.0) * (a - 2.0) + 1.5))
 
 
 def _scad_g_tilde_lanes(u):
     a = np.abs(u)
-    outer = a >= 2.0
-    out = _square(a - 2.0, outer)
-    out += a                                # a + (a-2)^2
-    np.copyto(out, a, where=~outer)
-    q = u * u
-    q /= 5.0
-    out += q
-    return out
+    return np.where(a < 2.0, a, a + (a - 2.0) * (a - 2.0)) + u * u / 5.0
 
 
 def _scad_h_tilde_prime_lanes(u):
-    a = np.abs(u)
-    s = np.copysign(1.0, u)
-    p = 0.4 * u
-    out = s + p
-    np.subtract(u, s, out=s)
-    s += p                                  # (u - sign u) + 0.4u
-    np.copyto(out, s, where=a < 2.0)
-    np.copyto(out, p, where=a <= 1.0)
-    return out
+    a, s, p = np.abs(u), np.copysign(1.0, u), 0.4 * u
+    return np.where(a <= 1.0, p, np.where(a < 2.0, u - s + p, s + p))
 
 
 # g~ at its breakpoints 0 and 2, the subproblem's fixed candidates

@@ -235,6 +235,9 @@ class TvProxResult(NamedTuple):
 # a thread start: measured per inner iteration on two cores, two bands ran
 # 1.4x as fast as one at 256x256, and 0.3x at 128x128.
 TWO_BAND_PIXELS = 1 << 16
+# Seconds a band waits at a barrier before the call fails: the busy-host p99
+# of a 256x256 iteration was 5-8 ms, a 4096x4096 one takes about 0.3 s.
+BAND_WAIT_S = 30.0
 
 
 def _two_bands(m, n):
@@ -396,13 +399,16 @@ def tv_prox(v, c, cfg, u0):
 def _pd_two_bands(bands, c, cfg, norms):
     """:func:`_pd_band` on the first band in the calling thread and on the
     second in a worker thread, which is joined before this returns or
-    raises; each band forms one of the two norms."""
-    barrier = threading.Barrier(2)
+    raises; each band forms one of the two norms.  A wait past BAND_WAIT_S
+    raises :class:`SubproblemError` unless a band raised its own error."""
+    barrier = threading.Barrier(2, timeout=BAND_WAIT_S)
     errors = []
 
     def second_band():
         try:
             _pd_band(bands[1], c, cfg, norms, (1,), barrier.wait)
+        except threading.BrokenBarrierError:
+            pass  # the first band's error or a timeout, raised by the caller
         except BaseException as exc:  # re-raised by the caller once joined
             errors.append(exc)
             barrier.abort()
@@ -415,7 +421,7 @@ def _pd_two_bands(bands, c, cfg, norms):
     try:
         result = _pd_band(bands[0], c, cfg, norms, (0,), barrier.wait)
     except threading.BrokenBarrierError:
-        pass  # the second band broke it: its error is raised below
+        pass  # the second band's error or a timeout, raised below
     except BaseException:
         barrier.abort()  # release the second band
         raise
@@ -423,6 +429,9 @@ def _pd_two_bands(bands, c, cfg, norms):
         worker.join()
     if errors:
         raise errors[0]
+    if barrier.broken:
+        raise SubproblemError(f"a tv_prox band waited over {BAND_WAIT_S:g} s "
+                              "for the other", residual=math.nan)
     return result
 
 
@@ -441,7 +450,7 @@ class CauchyModel(DcModel):
     def __init__(self, f, mu, gamma, c, inner=None):
         f = _raster(f, "observation")
         if min(f.shape) < 2:
-            raise ValueError("observation must be a 2-D raster, at least 2x2")
+            raise ValueError(f"observation shape {f.shape} is below 2x2")
         if not np.all(np.isfinite(f)):
             raise ValueError("observation contains non-finite entries")
         if not all(0.0 < v < math.inf for v in (mu, gamma, c)):

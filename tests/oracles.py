@@ -253,8 +253,8 @@ def scad_phi_tilde(u):
     if a <= 1.0:
         return a
     if a < 2.0:
-        return a - (a - 1.0) ** 2 / 2.0
-    return (a - 2.0) ** 2 + 1.5
+        return a - (a - 1.0) * (a - 1.0) / 2.0
+    return (a - 2.0) * (a - 2.0) + 1.5
 
 
 def scad_subproblem_1d(w):

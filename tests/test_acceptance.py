@@ -147,6 +147,13 @@ SEED_7_COUNTS = {
     Variant.NMBDCA: (9944, 19, 16, 0, 21),
     Variant.IBDCA: (10000, 0, 0, 0, 0),
 }
+# (outer iterations, backtracks, line-search failures) summed over the starts
+SEED_7_TOTALS = {
+    Variant.DCA: (72554, 0, 0),
+    Variant.BDCA: (37427, 911397, 14997),
+    Variant.NMBDCA: (70719, 697860, 9875),
+    Variant.IBDCA: (37238, 63706, 0),
+}
 
 
 def test_criterion_3_basin_experiment_desk_scale():
@@ -162,6 +169,7 @@ def test_criterion_3_basin_experiment_desk_scale():
     for report in (dca, bdca, nmbdca, ibdca):
         counts = tuple(report.counts[label] for label in labels)
         assert counts == SEED_7_COUNTS[report.variant]
+        assert tuple(report.totals.values()) == SEED_7_TOTALS[report.variant]
 
     assert ibdca.counts["(0,0)"] == n
     for label in ("(0,0)", "(0,2)", "(2,0)", "(2,2)"):
@@ -181,6 +189,8 @@ def test_criterion_4_iteration_count_ordering(denoise_runs):
     iters = {v: len(res.trace) for v, (_, res) in runs.items()}
     assert iters[Variant.IBDCA] < iters[Variant.NMBDCA] < iters[Variant.DCA]
     assert iters[Variant.IBDCA] <= 0.6 * iters[Variant.DCA]
+    # the benchmark's denoise-64 pins at gamma 3
+    assert iters == {Variant.IBDCA: 39, Variant.NMBDCA: 42, Variant.DCA: 132}
     assert denoise_runs["elapsed"] < 60.0
     print(f"\nPASS criterion 4: outer iterations IBDCA "
           f"{iters[Variant.IBDCA]} < nmBDCA {iters[Variant.NMBDCA]} < DCA "

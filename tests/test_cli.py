@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import dcboost
 from dcboost import CauchyModel, PdConfig, QuadL1Problem, Variant
-from dcboost import cli
+from dcboost import cli, tv_cauchy
 from dcboost.cli import main
 from dcboost.toy_problems import basin_experiment, default_basin_config
 
@@ -161,6 +162,7 @@ def test_denoise_input_smaller_than_2x2_exits_2_with_one_line(
     assert len(lines) == 1
     assert lines[0].startswith("dcboost denoise: ")
     assert "observation" in lines[0] and "2x2" in lines[0]
+    assert "(1, 4)" in lines[0]
     assert not list(tmp_path.glob("*_trace.csv"))
 
 
@@ -396,6 +398,43 @@ def test_basin_csv_layout(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # denoise
+def test_interrupt_exits_130_with_one_line_keeping_the_trace(
+        tmp_path, capsys, monkeypatch, two_bands):
+    # Ctrl-C lands in the calling thread, here inside the fourth tv_prox
+    # call, which runs two bands: the worker must be released and joined,
+    # and the rows streamed before the interrupt kept
+    argv = ["denoise", "--synthetic", "--size", "16x16", "--max-iter", "8"]
+    assert main(argv + ["--out-dir", str(tmp_path / "whole")]) == 0
+    capsys.readouterr()
+    caller = threading.current_thread()
+    calls = []
+    tv_prox, div_into = tv_cauchy.tv_prox, tv_cauchy._div_into
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return tv_prox(*args, **kwargs)
+
+    def interrupted(*views):
+        if len(calls) == 4 and threading.current_thread() is caller:
+            raise KeyboardInterrupt
+        div_into(*views)
+
+    monkeypatch.setattr(tv_cauchy, "tv_prox", counted)
+    monkeypatch.setattr(tv_cauchy, "_div_into", interrupted)
+    before = threading.active_count()
+    code = main(argv + ["--out-dir", str(tmp_path / "cut")])
+    captured = capsys.readouterr()
+    assert code == 130
+    assert captured.err.splitlines() == ["dcboost denoise: interrupted"]
+    assert threading.active_count() == before
+    cut = strip_wall_time((tmp_path / "cut" / "denoise_trace.csv").read_text())
+    whole = strip_wall_time(
+        (tmp_path / "whole" / "denoise_trace.csv").read_text())
+    assert len(cut.splitlines()) >= 3  # the header and two records or more
+    assert whole.startswith(cut + "\n")
+    assert not list((tmp_path / "cut").glob("*_manifest.json"))
+
+
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -549,6 +588,21 @@ def test_denoise_deterministic_modulo_wall_time(tmp_path):
     assert csv_a == csv_b
     assert ((tmp_path / "a" / "restored.pgm").read_bytes()
             == (tmp_path / "b" / "restored.pgm").read_bytes())
+
+
+def test_denoise_256_holds_the_benchmark_pins(tmp_path, capsys):
+    # the paper-scale run of the CLI benchmark, through tv_prox's two bands
+    # on two CPUs or more: 43 outer and 1494 inner iterations, 36.973 dB
+    code = main(["denoise", "--synthetic", "--size", "256x256", "--gamma",
+                 "3", "--seed", "7", "--variant", "ibdca",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    summary = json.loads((tmp_path / "denoise_metrics.json").read_text())
+    assert summary["outer_iterations"] == 43
+    assert round(summary["psnr_restored"], 3) == 36.973
+    lines = (tmp_path / "denoise_trace.csv").read_text().splitlines()
+    inner = lines[0].split(",").index("inner_iters")
+    assert sum(int(line.split(",")[inner]) for line in lines[1:]) == 1494
 
 
 def test_denoise_inner_nonconvergence_exit_1(tmp_path, capsys):

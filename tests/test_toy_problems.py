@@ -184,9 +184,20 @@ def test_scad_lane_methods_bitwise_match_per_point():
     edges = np.concatenate([breaks, np.nextafter(breaks, 9.0),
                             np.nextafter(breaks, -9.0), [-0.0]])
     rng = np.random.default_rng(12)
-    # squares must match libm pow, which differs from x*x on ~1e-4 of draws
+    # both forms square by products (pow differs from x*x on ~1e-4 of draws)
     coords = np.concatenate([edges, rng.uniform(-4.0, 4.0, size=60000)])
     X = np.stack([coords, rng.permutation(coords)], axis=1)
+    # each closed form against its scalar reference, huge entries too
+    huge = np.array([1e200, np.inf])
+    u = np.concatenate([coords, huge, -huge])
+    for lanes, scalar in ((toy_problems._scad_phi_tilde_lanes, scad_phi_tilde),
+                          (toy_problems._scad_g_tilde_lanes, scad_g_tilde),
+                          (toy_problems._scad_h_tilde_prime_lanes,
+                           scad_h_tilde_prime)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = lanes(u)
+        ref = np.array([scalar(float(t)) for t in u])
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), scalar
     model = ScadSeparableProblem()
     Y, infos = model.subproblem_lanes(X)
     assert len(infos) == len(X)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -292,14 +293,6 @@ def test_tv_prox_matches_dual_oracle_small_instances():
         assert gap <= 1e-6
 
 
-@pytest.fixture
-def two_bands(monkeypatch):
-    """tv_prox on two row bands in two threads at any raster size (a
-    one-row raster has no second band), whatever the pixel count and the
-    CPUs."""
-    monkeypatch.setattr(tv_cauchy, "_two_bands", lambda m, n: m >= 2)
-
-
 def _assert_tv_prox_matches_reference(runs):
     """Each run's result, after checking it bitwise against the reference's;
     the reference runs on C-ordered copies: np.linalg.norm sums in memory
@@ -492,6 +485,69 @@ def test_a_failing_band_re_raises_and_leaves_no_thread(band, two_bands,
     with pytest.raises(RuntimeError, match=f"band {band} fails"):
         tv_prox(v, 0.7, PdConfig(), v)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("band", [0, 1])
+def test_a_stuck_band_fails_within_the_timeout_and_leaves_no_thread(
+        band, two_bands, monkeypatch):
+    # a band that stops answering, as one that left the loop early would,
+    # must not hang the other at its barrier: the wait times out, and once
+    # the worker is joined the call fails as a subproblem failure
+    monkeypatch.setattr(tv_cauchy, "BAND_WAIT_S", 0.2)
+    caller = threading.current_thread()
+    div_into = tv_cauchy._div_into
+    stalled = []
+
+    def stalling(*views):
+        if (threading.current_thread() is caller) == (band == 0):
+            if not stalled:
+                stalled.append(band)
+                time.sleep(1.0)
+        div_into(*views)
+
+    monkeypatch.setattr(tv_cauchy, "_div_into", stalling)
+    before = threading.active_count()
+    v = np.ones((6, 5))
+    t0 = time.perf_counter()
+    with pytest.raises(SubproblemError, match="waited over 0.2 s"):
+        tv_prox(v, 0.7, PdConfig(), v)
+    assert time.perf_counter() - t0 < 10.0
+    assert stalled == [band]
+    assert threading.active_count() == before
+
+
+def test_two_bands_under_random_delays_bitwise_equal_one_band(monkeypatch):
+    # seeded short sleeps before and after either band's steps move where
+    # each band meets the other at its barriers; the bits must not move
+    rng = np.random.default_rng(67)
+    runs = [(10.0 * rng.normal(size=shape), 0.7, rng.normal(size=shape))
+            for shape in ((2, 3), (7, 5), (33, 17))]
+    cfg = PdConfig(max_inner_iter=25)
+    monkeypatch.setattr(tv_cauchy, "_two_bands", lambda m, n: False)
+    want = [tv_prox(v, c, cfg, u0) for v, c, u0 in runs]
+
+    monkeypatch.setattr(tv_cauchy, "_two_bands", lambda m, n: True)
+    caller = threading.current_thread()
+    # each band pops only its own list
+    delays = [np.random.default_rng(seed).uniform(0.0, 1e-3, 400).tolist()
+              for seed in (0, 1)]
+
+    def delayed(step):
+        def run(*views):
+            band = delays[threading.current_thread() is not caller]
+            time.sleep(band.pop())
+            step(*views)
+            time.sleep(band.pop())
+        return run
+
+    for name in ("_grad_into", "_div_into"):
+        monkeypatch.setattr(tv_cauchy, name, delayed(getattr(tv_cauchy, name)))
+    for (v, c, u0), ref in zip(runs, want):
+        got = tv_prox(v, c, cfg, u0)
+        assert np.array_equal(_bits(got.u), _bits(ref.u)), v.shape
+        assert (got.iters, _bits(got.resid), got.converged) == (
+            ref.iters, _bits(ref.resid), ref.converged), v.shape
+    assert min(map(len, delays)) < 400  # both bands ran
 
 
 def test_concurrent_two_band_calls_equal_sequential_ones(two_bands):
